@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DerivativeUnavailable,
@@ -65,54 +64,93 @@ class PhaseMap:
 def intersect_ray(surface, x, e, a, tol_scale=1e-12):
     """Path length t with t e3 = r(x + t e') on the lens lower face.
 
-    Bisection-bracketed Brent root-finding on [0, a/e3]; the graph
-    condition (nu3 > 0) makes the crossing unique in the patch.
+    ``x`` is a start point (2,) with direction ``e`` (3,), giving a float,
+    or a batch (n, 2) with directions (n, 3) or (3,), giving (n,).  Each
+    ray keeps its own bracket on [0, a/e3] and takes safeguarded Newton
+    steps on g(t) = t e3 - r(x + t e'), bisecting whenever a step leaves
+    the bracket, until |dt| <= tol_scale * a; a ray stops as soon as it
+    converges, so its result does not depend on the rest of the batch.
+    A vertical ray (e' = 0) needs no steps: t = r(x) / e3.
+    The graph condition (nu3 > 0) makes the crossing unique in the patch.
+    Raises ``MissedSurface`` if any ray has no bracketed crossing.
     """
     x = np.asarray(x, dtype=float)
-    e3 = e[2]
-    t_hi = a / e3
-    g = lambda t: t * e3 - surface.height(x + t * e[:2])
-    g0, g1 = g(0.0), g(t_hi)
-    if g0 > 0.0 or g1 < 0.0:
+    single = x.ndim == 1
+    x = np.atleast_2d(x)
+    e_rows = np.empty(x.shape[:-1] + (3,))
+    e_rows[:] = e
+    e3, ep = e_rows[:, 2], e_rows[:, :2]
+    vert = (np.abs(ep[:, 0]) < 1e-15) & (np.abs(ep[:, 1]) < 1e-15)
+    obl = np.flatnonzero(~vert)
+    lo = np.zeros(len(x))
+    hi = a / e3
+    g_lo = -surface.height(x)
+    g_hi = hi * e3 + g_lo  # a vertical ray meets r(x) all along
+    if obl.size:
+        g_hi[obl] = hi[obl] * e3[obl] - surface.height(
+            x[obl] + hi[obl, None] * ep[obl])
+    bad = (g_lo > 0.0) | (g_hi < 0.0)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise MissedSurface(
-            f"no bracketed crossing for the ray from {tuple(x)}: "
-            f"g(0) = {g0:.3e}, g(a/e3) = {g1:.3e}"
+            f"no bracketed crossing for the ray from {tuple(x[i].tolist())}: "
+            f"g(0) = {g_lo[i]:.3e}, g(a/e3) = {g_hi[i]:.3e}"
         )
-    if g0 == 0.0:
-        return 0.0
-    return brentq(g, 0.0, t_hi, xtol=tol_scale * a, rtol=8.9e-16)
+    # A vertical ray crosses at t = r(x) / e3 and a ray starting on the
+    # face at t = 0; the others start from the secant inside the bracket.
+    t = np.where(vert, -g_lo / e3, 0.0)
+    act = obl[g_lo[obl] != 0.0]
+    t[act] = hi[act] * (g_lo[act] / (g_lo[act] - g_hi[act]))
+    tol = tol_scale * a
+    for _ in range(100):  # bisection alone needs about 40
+        if act.size == 0:
+            break
+        ta, ea, e3a = t[act], ep[act], e3[act]
+        pa = x[act] + ta[:, None] * ea
+        g = ta * e3a - surface.height(pa)
+        dg = e3a - np.sum(surface.gradient(pa) * ea, axis=1)
+        lo_a, hi_a = lo[act], hi[act]
+        lo_a[g < 0.0] = ta[g < 0.0]
+        hi_a[g > 0.0] = ta[g > 0.0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = ta - g / dg
+        # g = 0 gives new = ta and stops the ray; NaN steps fail the test
+        out = ~((new >= lo_a) & (new <= hi_a))
+        new[out] = 0.5 * (lo_a[out] + hi_a[out])
+        t[act], lo[act], hi[act] = new, lo_a, hi_a
+        act = act[(np.abs(new - ta) > tol) & (hi_a - lo_a > tol)]
+    if act.size:
+        raise RuntimeError(
+            f"intersect_ray: {act.size} rays did not converge in 100 steps"
+        )
+    return float(t[0]) if single else t
 
 
 def midfield_general(field, surface, constants, grid):
     """Trace every grid ray to the metasurface plane through a surface.
 
-    For each x: intersect (x,0) + t e(x) with the graph, refract with the
-    standard law, then advance to {x3 = a}.
+    For all nodes x at once: intersect (x,0) + t e(x) with the graph,
+    refract with the standard law, then advance to {x3 = a}.
     """
     constants.require_lens_geometry()
     k1, a = constants.kappa1, constants.a
-    n1, n2 = grid.shape
-    m = np.zeros((n1, n2, 3))
-    d = np.zeros((n1, n2))
-    q = np.zeros((n1, n2, 2))
-    rho = np.zeros((n1, n2))
-    for i in range(n1):
-        for j in range(n2):
-            x = grid.node(i, j)
-            e = field.direction(x)
-            t = intersect_ray(surface, x, e, a)
-            hit2 = x + t * e[:2]
-            nu = surface.normal(hit2)
-            res = refract_standard(e, nu, k1)
-            depth = a - t * e[2]
-            if depth <= 0.0:
-                raise NonPositiveDepth(f"a - rho e3 = {depth:.3e} at {tuple(x)}")
-            dij = depth / res.direction[2]
-            rho[i, j] = t
-            m[i, j] = res.direction
-            d[i, j] = dij
-            q[i, j] = hit2 + dij * res.direction[:2]
-    return MidField(grid=grid, m=m, d=d, Q=q, rho=rho)
+    x = grid.nodes()
+    e = field.direction(x)
+    t = intersect_ray(surface, x, e, a)
+    hit2 = x + t[:, None] * e[:, :2]
+    nu = surface.normal(hit2)
+    m = refract_standard(e, nu, k1).direction
+    depth = a - t * e[:, 2]
+    if np.any(depth <= 0.0):
+        i = int(np.flatnonzero(depth <= 0.0)[0])
+        raise NonPositiveDepth(
+            f"a - rho e3 = {depth[i]:.3e} at {tuple(x[i].tolist())}"
+        )
+    d = depth / m[:, 2]
+    q = hit2 + d[:, None] * m[:, :2]
+    shape = grid.shape
+    return MidField(grid=grid, m=m.reshape(shape + (3,)), d=d.reshape(shape),
+                    Q=q.reshape(shape + (2,)), rho=t.reshape(shape))
 
 
 def midfield_vertical(grid, rho, drho, constants):

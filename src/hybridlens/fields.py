@@ -20,6 +20,9 @@ from .reports import ConditionReport
 class IncidentField:
     """Unit direction field with optional analytic derivatives.
 
+    ``e`` maps a point (2,) to a direction (3,); to be traced in batch
+    (``midfield_general``, ``trace_through``) it also maps an (n, 2)
+    array of points to (n, 3) directions, as the builtin fields do.
     ``jac`` is the 3x2 Jacobian of e; ``potential`` is h with grad h = e'
     when known in closed form; ``hess_potential`` is D^2 h.
     """
@@ -31,7 +34,14 @@ class IncidentField:
     hess_potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def direction(self, x):
-        return np.asarray(self.e(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        e = np.asarray(self.e(x), dtype=float)
+        if e.shape != x.shape[:-1] + (3,):
+            raise ValueError(
+                f"field {self.name!r} gave directions of shape {e.shape} "
+                f"for points of shape {x.shape}"
+            )
+        return e
 
     def eprime(self, x):
         return self.direction(x)[:2]
@@ -54,7 +64,7 @@ def vertical():
     """e = (0, 0, 1) everywhere."""
     return IncidentField(
         name="vertical",
-        e=lambda x: np.array([0.0, 0.0, 1.0]),
+        e=lambda x: np.broadcast_to([0.0, 0.0, 1.0], x.shape[:-1] + (3,)).copy(),
         jac=lambda x: np.zeros((3, 2)),
         potential=lambda x: 0.0,
         hess_potential=lambda x: np.zeros((2, 2)),
@@ -69,7 +79,7 @@ def collimated(direction):
         raise ValueError("collimated field needs e3 > 0")
     return IncidentField(
         name="collimated",
-        e=lambda x, d=d: d.copy(),
+        e=lambda x, d=d: np.broadcast_to(d, x.shape[:-1] + (3,)).copy(),
         jac=lambda x: np.zeros((3, 2)),
         potential=lambda x, d=d: d[0] * x[0] + d[1] * x[1],
         hess_potential=lambda x: np.zeros((2, 2)),
@@ -87,8 +97,10 @@ def point_source(source):
         raise ValueError("point source must lie below the plane {x3 = 0}")
 
     def evaluate(x):
-        w = np.array([x[0] - r[0], x[1] - r[1], -r[2]])
-        return w / np.linalg.norm(w)
+        w = np.empty(x.shape[:-1] + (3,))
+        w[..., :2] = x - r[:2]
+        w[..., 2] = -r[2]
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
     def jac(x):
         u = np.array([x[0] - r[0], x[1] - r[1]])

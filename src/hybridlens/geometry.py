@@ -197,6 +197,12 @@ def fd_hessian(f, x, stencil=None, domain=None):
     return np.array([[d11, d12], [d12, d22]])
 
 
+def _nearest(axis, u):
+    """Index of the entry of sorted ``axis`` nearest to each ``u``."""
+    i = np.clip(np.searchsorted(axis, u), 1, axis.size - 1)
+    return i - (np.abs(axis[i - 1] - u) <= np.abs(axis[i] - u))
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Regular tensor grid over a rectangular box, 'ij' indexing."""
@@ -242,13 +248,13 @@ class Grid2D:
         return np.column_stack([X1.ravel(), X2.ravel()])
 
     def nearest_index(self, x):
-        i = int(np.clip(np.searchsorted(self.x1, x[0]), 1, self.x1.size - 1))
-        if abs(self.x1[i - 1] - x[0]) <= abs(self.x1[i] - x[0]):
-            i -= 1
-        j = int(np.clip(np.searchsorted(self.x2, x[1]), 1, self.x2.size - 1))
-        if abs(self.x2[j - 1] - x[1]) <= abs(self.x2[j] - x[1]):
-            j -= 1
-        return i, j
+        """Indices (i, j) of the node nearest to a point (2,), or arrays of
+        them for points (n, 2); a point halfway between two nodes goes to
+        the lower index."""
+        x = np.asarray(x, dtype=float)
+        i = _nearest(self.x1, x[..., 0])
+        j = _nearest(self.x2, x[..., 1])
+        return (int(i), int(j)) if x.ndim == 1 else (i, j)
 
     def node(self, i, j):
         return np.array([self.x1[i], self.x2[j]])

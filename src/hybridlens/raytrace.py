@@ -7,8 +7,6 @@ report compares exit directions with (0,0,1) and landings with the
 prescribed image points.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -70,8 +68,8 @@ class TraceReport:
 
 
 class _PhaseGradient:
-    """Phase-gradient lookup: stored analytic samples or numeric
-    differentiation of the interpolated phase samples.
+    """Phase-gradient lookup for a batch of rays: stored analytic samples
+    or numeric differentiation of the interpolated phase samples.
 
     The numeric route never touches the stored tangential gradient: the
     phase and footprint samples are fit with splines over the design
@@ -92,76 +90,56 @@ class _PhaseGradient:
         elif mode != "analytic":
             raise ValueError(f"unknown gradient mode {mode!r}")
 
-    def __call__(self, x_sample, q):
+    def __call__(self, x_samples):
+        """(n, 2) tangential gradients at the rays started from ``x_samples``."""
         if self.mode == "analytic":
-            i, j = self.lens.grid.nearest_index(x_sample)
+            i, j = self.lens.grid.nearest_index(x_samples)
             return self.lens.phase.grad_tan[i, j]
-        x1, x2 = x_sample
-        gx = np.array(
-            [self._phi(x1, x2, dx=1)[0, 0], self._phi(x1, x2, dy=1)[0, 0]]
-        )
-        jac = np.array(
-            [
-                [self._q1(x1, x2, dx=1)[0, 0], self._q1(x1, x2, dy=1)[0, 0]],
-                [self._q2(x1, x2, dx=1)[0, 0], self._q2(x1, x2, dy=1)[0, 0]],
-            ]
-        )
-        return np.linalg.solve(jac.T, gx)
+        x1, x2 = x_samples[:, 0], x_samples[:, 1]
+        d = lambda sp, dx, dy: sp.ev(x1, x2, dx=dx, dy=dy)
+        gx = np.stack([d(self._phi, 1, 0), d(self._phi, 0, 1)], axis=-1)
+        jac_t = np.empty((len(x1), 2, 2))  # (DQ)^T, row-major per ray
+        jac_t[:, 0, 0] = d(self._q1, 1, 0)
+        jac_t[:, 1, 0] = d(self._q1, 0, 1)
+        jac_t[:, 0, 1] = d(self._q2, 1, 0)
+        jac_t[:, 1, 1] = d(self._q2, 0, 1)
+        return np.linalg.solve(jac_t, gx[..., None])[..., 0]
 
 
 def trace_through(lens, incident_field, constants, samples,
                   gradient_mode="analytic"):
     """Trace rays from the given source samples through the lens.
 
+    All rays go through each step together, as (n, 2) and (n, 3) arrays.
     ``gradient_mode`` selects the stored tangential gradient at the
     nearest design node ("analytic") or finite differences of the
-    interpolated phase samples ("fd_phase").
+    interpolated phase samples ("fd_phase").  Samples outside the design
+    box are traced through the extrapolated splines and counted in
+    ``aggregates["outside_patch"]``.
     """
     constants.require_lens_geometry()
     k1, k2 = constants.kappa1, constants.kappa2
     a, c = constants.a, constants.c
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     grad_phi = _PhaseGradient(lens, gradient_mode)
-
-    def trace_one(x):
-        e = incident_field.direction(x)
-        if abs(e[0]) < 1e-15 and abs(e[1]) < 1e-15:
-            t = lens.surface.height(x)  # vertical ray hits the graph directly
-        else:
-            t = intersect_ray(lens.surface, x, e, a)
-        hit2 = x + t * e[:2]
-        hit = np.array([hit2[0], hit2[1], t * e[2]])
-        nu = lens.surface.normal(hit2)
-        m = refract_standard(e, nu, k1).direction
-        q = hit2 + ((a - hit[2]) / m[2]) * m[:2]
-        g = grad_phi(x, q)
-        w = refract_metasurface(
-            m, VERTICAL, k2, np.array([g[0], g[1], 0.0]), constants.k
-        ).direction
-        landing = q + ((c - a) / w[2]) * w[:2]
-        return hit, m, q, w, landing
-
     n = samples.shape[0]
-    hits = np.zeros((n, 3))
-    mids = np.zeros((n, 3))
-    metas = np.zeros((n, 2))
-    exits = np.zeros((n, 3))
-    lands = np.zeros((n, 2))
 
-    def run_chunk(lo, hi):
-        for idx in range(lo, hi):
-            hits[idx], mids[idx], metas[idx], exits[idx], lands[idx] = trace_one(
-                samples[idx]
-            )
+    e = incident_field.direction(samples)
+    t = intersect_ray(lens.surface, samples, e, a)
+    hits = np.empty((n, 3))
+    hits[:, :2] = samples + t[:, None] * e[:, :2]
+    hits[:, 2] = t * e[:, 2]
+    nu = lens.surface.normal(hits[:, :2])
+    mids = refract_standard(e, nu, k1).direction
+    metas = hits[:, :2] + ((a - hits[:, 2]) / mids[:, 2])[:, None] * mids[:, :2]
+    g3 = np.zeros((n, 3))
+    g3[:, :2] = grad_phi(samples)
+    exits = refract_metasurface(mids, VERTICAL, k2, g3, constants.k).direction
+    lands = metas + ((c - a) / exits[:, 2])[:, None] * exits[:, :2]
 
-    workers = int(os.environ.get("HYBRIDLENS_THREADS", "1"))
-    if workers > 1 and n > workers:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, bounds[:-1], bounds[1:]))
-    else:
-        run_chunk(0, n)
-
+    (lo1, hi1), (lo2, hi2) = lens.grid.box
+    outside = ((samples[:, 0] < lo1) | (samples[:, 0] > hi1)
+               | (samples[:, 1] < lo2) | (samples[:, 1] > hi2))
     targets = None
     if lens.target_map is not None:
         targets = lens.target_map.target(samples)
@@ -173,6 +151,7 @@ def trace_through(lens, incident_field, constants, samples,
         exit_directions=exits,
         landings=lands,
         targets=targets,
+        aggregates={"outside_patch": int(np.count_nonzero(outside))},
     )
 
 

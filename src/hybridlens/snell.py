@@ -8,6 +8,7 @@ x - grad(phi)/k - kappa m = mu nu for a metasurface.
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -61,18 +62,66 @@ class OpticalConstants:
 
 @dataclass(frozen=True)
 class RefractionResult:
-    """Refracted unit direction and the normal-component multiplier."""
+    """Refracted unit direction and the normal-component multiplier:
+    (3,) and a float for one ray, (n, 3) and (n,) for a batch."""
 
     direction: np.ndarray
-    multiplier: float
+    multiplier: Union[float, np.ndarray]
 
 
-def _sqrt_clamped(value):
-    if value < 0.0:
-        if value < -DISCRIMINANT_TOL:
-            raise FloatingPointError  # caller converts to a domain error
-        value = 0.0
-    return math.sqrt(value)
+def _rowdot(u, v):
+    """Row-wise dot product of (n, 3) arrays; a (3,) operand broadcasts."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _first(bad):
+    return int(np.flatnonzero(bad)[0])
+
+
+def _refract_rows(xs, nu, kappa, xsdn, disc):
+    """Array form of ``m = (xs - mu nu) / kappa`` shared by both laws."""
+    mu = xsdn - np.sqrt(np.maximum(disc, 0.0))
+    return RefractionResult(direction=(xs - mu[:, None] * nu) / kappa,
+                            multiplier=mu)
+
+
+def _standard_rows(x, nu, kappa):
+    x = np.atleast_2d(x)
+    xdn = _rowdot(x, nu)
+    if np.any(xdn < 0.0):
+        i = _first(xdn < 0.0)
+        raise InvalidIncidence(
+            f"ray {i}: x . nu = {xdn[i]} < 0; orient nu toward medium II"
+        )
+    disc = kappa * kappa - _rowdot(x, x) + xdn * xdn
+    if kappa < 1.0 and np.any(disc < DISCRIMINANT_TOL):
+        i = _first(disc < DISCRIMINANT_TOL)
+        raise TotalInternalReflection(
+            f"ray {i}: x . nu = {xdn[i]} < sqrt(1 - kappa^2) = "
+            f"{math.sqrt(1 - kappa**2)}"
+        )
+    if np.any(disc < -DISCRIMINANT_TOL):
+        raise FloatingPointError  # as for one ray: not unit directions
+    return _refract_rows(x, nu, kappa, xdn, disc)
+
+
+def _metasurface_rows(xs, nu, kappa):
+    xs = np.atleast_2d(xs)
+    xsdn = _rowdot(xs, nu)
+    if np.any(xsdn < 0.0):
+        i = _first(xsdn < 0.0)
+        raise InvalidIncidence(
+            f"ray {i}: (x - grad_phi/k) . nu = {xsdn[i]} < 0; orient nu "
+            f"toward the outgoing medium"
+        )
+    disc = kappa * kappa - _rowdot(xs, xs) + xsdn * xsdn
+    if np.any(disc < -DISCRIMINANT_TOL):
+        i = _first(disc < -DISCRIMINANT_TOL)
+        raise MetaTotalInternalReflection(
+            f"ray {i}: feasibility bracket fails: {xsdn[i]**2} < "
+            f"{_rowdot(xs[i], xs[i]) - kappa**2}"
+        )
+    return _refract_rows(xs, nu, kappa, xsdn, disc)
 
 
 def refract_standard(x, nu, kappa):
@@ -81,11 +130,18 @@ def refract_standard(x, nu, kappa):
     kappa = n2/n1 is the ratio of downstream to upstream indices.  The
     normal must point toward the outgoing medium: x . nu >= 0 is required
     and not silently fixed up, so orientation bugs surface immediately.
+
+    ``x`` and ``nu`` are 3-vectors, or a batch: an (n, 3) array of rays
+    with an (n, 3) or (3,) normal.  A batch returns (n, 3) directions and
+    (n,) multipliers, computed row by row with the same formula, and its
+    first failing ray raises the exception that ray raises alone.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
+    if x.ndim != 1 or nu.ndim != 1:
+        return _standard_rows(x, nu, kappa)
     xdn = float(np.dot(x, nu))
     if xdn < 0.0:
         raise InvalidIncidence(f"x . nu = {xdn} < 0; orient nu toward medium II")
@@ -96,7 +152,11 @@ def refract_standard(x, nu, kappa):
         raise TotalInternalReflection(
             f"x . nu = {xdn} < sqrt(1 - kappa^2) = {math.sqrt(1 - kappa**2)}"
         )
-    lam = xdn - _sqrt_clamped(disc)
+    if disc < 0.0:
+        if disc < -DISCRIMINANT_TOL:
+            raise FloatingPointError  # not a unit direction
+        disc = 0.0
+    lam = xdn - math.sqrt(disc)
     m = (x - lam * nu) / kappa
     return RefractionResult(direction=m, multiplier=lam)
 
@@ -108,12 +168,17 @@ def refract_metasurface(x, nu, kappa, grad_phi, k):
     grad(phi)/k.  ``grad_phi`` may be a full 3-vector; when it is
     tangential (grad_phi . nu = 0) the formula coincides with the
     documented tangential special case.
+
+    Takes the batch shapes of ``refract_standard``, with ``grad_phi``
+    (n, 3) or (3,).
     """
     if kappa <= 0 or k <= 0:
         raise ValueError("kappa and k must be positive")
     x = np.asarray(x, dtype=float)
     nu = np.asarray(nu, dtype=float)
     xs = x - np.asarray(grad_phi, dtype=float) / k
+    if xs.ndim != 1 or nu.ndim != 1:
+        return _metasurface_rows(xs, nu, kappa)
     xsdn = float(np.dot(xs, nu))
     if xsdn < 0.0:
         raise InvalidIncidence(
@@ -124,7 +189,7 @@ def refract_metasurface(x, nu, kappa, grad_phi, k):
         raise MetaTotalInternalReflection(
             f"feasibility bracket fails: {xsdn**2} < {np.dot(xs, xs) - kappa**2}"
         )
-    mu = xsdn - _sqrt_clamped(max(disc, 0.0))
+    mu = xsdn - math.sqrt(max(disc, 0.0))
     m = (xs - mu * nu) / kappa
     return RefractionResult(direction=m, multiplier=mu)
 

@@ -9,9 +9,17 @@ from scipy.interpolate import RectBivariateSpline
 from .geometry import FDStencil, fd_gradient, fd_hessian
 
 
+_poly = np.polynomial.polynomial
+
+
 @dataclass(frozen=True)
 class Surface:
-    """Graph surface x3 = r(x1, x2) with optional analytic derivatives."""
+    """Graph surface x3 = r(x1, x2) with optional analytic derivatives.
+
+    ``value`` and ``grad`` map a point (2,) or a batch of points (n, 2)
+    to r and its gradient, shaped () and (2,) or (n,) and (n, 2);
+    ``hess`` maps one point to the (2, 2) Hessian.
+    """
 
     name: str
     value: Callable[[np.ndarray], float]
@@ -20,9 +28,16 @@ class Surface:
     params: dict = field(default_factory=dict)
 
     def height(self, x):
-        return float(self.value(np.asarray(x, dtype=float)))
+        """r(x): a float for a point (2,), an (n,) array for (n, 2)."""
+        x = np.asarray(x, dtype=float)
+        r = self.value(x)
+        return float(r) if x.ndim == 1 else np.asarray(r, dtype=float)
 
     def gradient(self, x, stencil=None):
+        """Dr(x): (2,) for a point, (n, 2) for a batch of points.
+
+        Without an analytic ``grad`` only single points are supported.
+        """
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
@@ -35,19 +50,23 @@ class Surface:
         return fd_hessian(self.value, x, stencil or FDStencil(1e-4, 1e-4))
 
     def normal(self, x):
-        """Unit normal with positive vertical component."""
+        """Unit normal with positive vertical component: (3,) for a point,
+        (n, 3) for a batch of points."""
         g = self.gradient(x)
-        n = np.array([-g[0], -g[1], 1.0])
-        return n / np.linalg.norm(n)
+        n = np.empty(g.shape[:-1] + (3,))
+        n[..., :2] = -g
+        n[..., 2] = 1.0
+        return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
 def flat(r0):
+    r0 = float(r0)
     return Surface(
         name="flat",
-        value=lambda x: float(r0),
-        grad=lambda x: np.zeros(2),
+        value=lambda x: np.full(x.shape[:-1], r0),
+        grad=lambda x: np.zeros(x.shape),
         hess=lambda x: np.zeros((2, 2)),
-        params={"r0": float(r0)},
+        params={"r0": r0},
     )
 
 
@@ -62,22 +81,19 @@ def polynomial(coeffs):
     else:
         c = np.asarray(coeffs, dtype=float)
 
-    def value(x):
-        return float(np.polynomial.polynomial.polyval2d(x[0], x[1], c))
+    def der(cc, axis):
+        return _poly.polyder(cc, axis=axis) if cc.shape[axis] > 1 else np.zeros((1, 1))
 
-    c1 = np.polynomial.polynomial.polyder(c, axis=0) if c.shape[0] > 1 else np.zeros((1, 1))
-    c2 = np.polynomial.polynomial.polyder(c, axis=1) if c.shape[1] > 1 else np.zeros((1, 1))
-    c11 = np.polynomial.polynomial.polyder(c1, axis=0) if c1.shape[0] > 1 else np.zeros((1, 1))
-    c12 = np.polynomial.polynomial.polyder(c1, axis=1) if c1.shape[1] > 1 else np.zeros((1, 1))
-    c22 = np.polynomial.polynomial.polyder(c2, axis=1) if c2.shape[1] > 1 else np.zeros((1, 1))
+    c1, c2 = der(c, 0), der(c, 1)
+    c11, c12, c22 = der(c1, 0), der(c1, 1), der(c2, 1)
 
     def ev(cc, x):
-        return float(np.polynomial.polynomial.polyval2d(x[0], x[1], cc))
+        return _poly.polyval2d(x[..., 0], x[..., 1], cc)
 
     return Surface(
         name="polynomial",
-        value=value,
-        grad=lambda x: np.array([ev(c1, x), ev(c2, x)]),
+        value=lambda x: ev(c, x),
+        grad=lambda x: np.stack([ev(c1, x), ev(c2, x)], axis=-1),
         hess=lambda x: np.array([[ev(c11, x), ev(c12, x)], [ev(c12, x), ev(c22, x)]]),
         params={"coeffs": c.tolist()},
     )
@@ -91,17 +107,16 @@ def from_design(design, order=3):
 def from_grid(grid, rho, order=3):
     sp = RectBivariateSpline(grid.x1, grid.x2, np.asarray(rho, dtype=float),
                              kx=order, ky=order)
+
+    def ev(x, dx=0, dy=0):
+        return sp.ev(x[..., 0], x[..., 1], dx=dx, dy=dy)
+
     return Surface(
         name="spline",
-        value=lambda x: float(sp(x[0], x[1])[0, 0]),
-        grad=lambda x: np.array(
-            [sp(x[0], x[1], dx=1)[0, 0], sp(x[0], x[1], dy=1)[0, 0]]
-        ),
+        value=ev,
+        grad=lambda x: np.stack([ev(x, dx=1), ev(x, dy=1)], axis=-1),
         hess=lambda x: np.array(
-            [
-                [sp(x[0], x[1], dx=2)[0, 0], sp(x[0], x[1], dx=1, dy=1)[0, 0]],
-                [sp(x[0], x[1], dx=1, dy=1)[0, 0], sp(x[0], x[1], dy=2)[0, 0]],
-            ]
+            [[ev(x, dx=2), ev(x, dx=1, dy=1)], [ev(x, dx=1, dy=1), ev(x, dy=2)]]
         ),
         params={"order": order},
     )

@@ -96,6 +96,7 @@ def test_design_imaging_artifacts(dilation_cfg, tmp_path):
     assert verdict["existence_verdict"]["passed"]
     agg = io.read_json(out / "trace_aggregates.json")
     assert agg["max_landing_error"] < 1e-4
+    assert agg["outside_patch"] == 0
 
 
 def test_design_imaging_rotation_blocked(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hybridlens.errors import (
     DerivativeUnavailable,
@@ -23,12 +24,22 @@ from hybridlens.farfield import (
 from hybridlens.fields import collimated, from_callbacks, point_source, vertical
 from hybridlens.geometry import Grid2D
 from hybridlens.reports import ConditionReport
+from hybridlens.snell import refract_standard
 from hybridlens.surfaces import flat, from_design, polynomial
 
 
 @pytest.fixture
 def grid():
     return Grid2D.from_box(((-0.4, 0.4), (-0.4, 0.4)), 21)
+
+
+FACE = polynomial([[0.5, 0.0, 0.3], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
+
+
+def brentq_intersect(surface, x, e, a):
+    """One-ray reference: Brent's method on g(t) = t e3 - r(x + t e')."""
+    g = lambda t: t * e[2] - surface.height(x + t * e[:2])
+    return brentq(g, 0.0, a / e[2], xtol=1e-15, rtol=8.9e-16)
 
 
 class TestIntersectRay:
@@ -43,6 +54,46 @@ class TestIntersectRay:
         s = flat(2.0)  # above the slab: no crossing inside [0, a/e3]
         with pytest.raises(MissedSurface):
             intersect_ray(s, np.zeros(2), np.array([0.0, 0.0, 1.0]), a=1.0)
+
+
+    @pytest.mark.parametrize("face", ["polynomial", "spline"])
+    def test_batch_matches_brentq(self, face, dilation_design, rng):
+        s = FACE if face == "polynomial" else from_design(dilation_design)
+        x = rng.uniform(-0.5, 0.5, (100, 2))
+        e = point_source((0.0, 0.0, -2.0)).direction(x)
+        t = intersect_ray(s, x, e, a=1.0)
+        assert t.shape == (100,)
+        ref = [brentq_intersect(s, x[i], e[i], 1.0) for i in range(len(x))]
+        assert np.max(np.abs(t - ref)) <= 1e-12
+        assert intersect_ray(s, x[3], e[3], a=1.0) == t[3]
+
+    @pytest.mark.parametrize("field", [vertical(), point_source((0.0, 0.0, -5.0))],
+                             ids=lambda f: f.name)
+    def test_batch_with_one_missed_ray_raises(self, field):
+        s = polynomial({(0, 0): 0.5, (2, 0): 2.0})  # leaves the slab at |x1| > 0.5
+        x = np.array([[0.0, 0.0], [0.2, 0.1], [0.9, 0.0], [-0.3, 0.2]])
+        intersect_ray(s, x[[0, 1, 3]], field.direction(x[[0, 1, 3]]), a=1.0)
+        with pytest.raises(MissedSurface, match="0.9"):
+            intersect_ray(s, x, field.direction(x), a=1.0)
+
+
+class TestMidfieldGeneral:
+    def test_point_source_matches_per_node_reference(self, grid, constants):
+        field = point_source((0.1, 0.0, -3.0))
+        mid = midfield_general(field, FACE, constants, grid)
+        a = constants.a
+        for i in range(grid.shape[0]):
+            for j in range(grid.shape[1]):
+                x = grid.node(i, j)
+                e = field.direction(x)
+                t = brentq_intersect(FACE, x, e, a)
+                hit2 = x + t * e[:2]
+                m = refract_standard(e, FACE.normal(hit2), constants.kappa1).direction
+                d = (a - t * e[2]) / m[2]
+                assert abs(mid.rho[i, j] - t) <= 1e-12
+                assert np.max(np.abs(mid.m[i, j] - m)) <= 1e-12
+                assert abs(mid.d[i, j] - d) <= 1e-12
+                assert np.max(np.abs(mid.Q[i, j] - (hit2 + d * m[:2]))) <= 1e-12
 
 
 class TestMidfieldVertical:

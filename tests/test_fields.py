@@ -109,3 +109,18 @@ def test_recover_potential_rejects_rotational(grid):
     with pytest.raises(NotIntegrable):
         recover_potential(rotational_field(0.5), grid, basepoint=(0.0, 0.0),
                           tol=1e-9)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
+def test_batch_direction_matches_single_points(field, rng):
+    x = rng.uniform(-0.5, 0.5, (30, 2))
+    e = field.direction(x)
+    assert e.shape == (30, 3)
+    for i in range(len(x)):
+        assert np.array_equal(e[i], field.direction(x[i]))
+
+
+def test_scalar_only_callback_rejected_for_a_batch():
+    bare = from_callbacks("bare", lambda x: np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        bare.direction(np.zeros((4, 2)))

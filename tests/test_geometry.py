@@ -135,6 +135,23 @@ class TestGrid2D:
             i, j = rng.integers(0, 21, 2)
             assert g.nearest_index(g.node(i, j)) == (i, j)
 
+    def test_nearest_index_batch_matches_loop(self, rng):
+        def reference(axis, u):  # the per-point rule, ties to the lower node
+            i = int(np.clip(np.searchsorted(axis, u), 1, axis.size - 1))
+            return i - 1 if abs(axis[i - 1] - u) <= abs(axis[i] - u) else i
+
+        g = Grid2D.from_box(((-0.7, 0.7), (-0.7, 0.7)), 201)
+        centres = 0.5 * (g.x1[:-1] + g.x1[1:])
+        pts = np.concatenate([
+            rng.uniform(-0.8, 0.8, (200, 2)),                     # in and out
+            np.column_stack([centres, centres[::-1]]),            # ties
+            np.column_stack([g.x1, g.x2[::-1]]),                  # nodes
+        ])
+        i, j = g.nearest_index(pts)
+        assert np.array_equal(i, [reference(g.x1, p[0]) for p in pts])
+        assert np.array_equal(j, [reference(g.x2, p[1]) for p in pts])
+        assert g.nearest_index(pts[0]) == (int(i[0]), int(j[0]))
+
     def test_meshgrid_matches_nodes(self):
         g = Grid2D.from_box(((0.0, 1.0), (0.0, 2.0)), 4, 6)
         x1, x2 = g.meshgrid()

@@ -81,13 +81,32 @@ def test_corrupted_phase_detected(dilation_lens, constants, node_samples):
     assert report.aggregates["max_direction_error"] > 1e-3
 
 
-def test_threaded_trace_is_deterministic(dilation_lens, constants,
-                                         node_samples, monkeypatch):
-    base = trace_through(dilation_lens, vertical(), constants, node_samples)
-    monkeypatch.setenv("HYBRIDLENS_THREADS", "4")
-    threaded = trace_through(dilation_lens, vertical(), constants, node_samples)
-    assert np.array_equal(base.landings, threaded.landings)
-    assert np.array_equal(base.exit_directions, threaded.exit_directions)
+@pytest.mark.parametrize("mode", ["analytic", "fd_phase"])
+def test_batch_trace_equals_single_rays(dilation_lens, constants, node_samples,
+                                        rng, mode):
+    samples = np.concatenate([node_samples, rng.uniform(-0.6, 0.6, (40, 2))])
+    batch = trace_through(dilation_lens, vertical(), constants, samples,
+                          gradient_mode=mode)
+    for i, x in enumerate(samples):
+        one = trace_through(dilation_lens, vertical(), constants, x,
+                            gradient_mode=mode)
+        for name in ["hits", "mid_directions", "meta_points",
+                     "exit_directions", "landings"]:
+            gap = np.abs(getattr(batch, name)[i] - getattr(one, name)[0])
+            assert np.max(gap) <= 1e-15, name
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd_phase"])
+def test_samples_outside_the_patch_are_counted(dilation_lens, constants,
+                                               node_samples, mode):
+    inside = trace_through(dilation_lens, vertical(), constants, node_samples,
+                           gradient_mode=mode)
+    assert inside.aggregates["outside_patch"] == 0
+    samples = np.concatenate([node_samples, [[0.9, 0.0]]])
+    report = trace_through(dilation_lens, vertical(), constants, samples,
+                           gradient_mode=mode)
+    assert report.aggregates["outside_patch"] == 1
+    assert np.array_equal(report.landings[:-1], inside.landings)
 
 
 def test_spot_diagram(dilation_lens, constants, node_samples):

@@ -123,6 +123,84 @@ def test_metasurface_backward_shift_rejected():
         refract_metasurface(x, nu, 1.5, np.array([0.0, 0.0, 2.0]), k=1.0)
 
 
+def random_batch(rng, kappa, n=200, margin=0.1):
+    """(n, 3) unit rays and normals, x . nu at least ``margin`` above the
+    TIR threshold, so a small phase gradient keeps every row feasible."""
+    nu = rng.normal(size=(n, 3))
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    floor = math.sqrt(1.0 - kappa**2) if kappa < 1.0 else 0.0
+    x = np.empty((n, 3))
+    for i in range(n):
+        while True:
+            x[i] = rng.normal(size=3)
+            x[i] /= np.linalg.norm(x[i])
+            if np.dot(x[i], nu[i]) > floor + margin:
+                break
+    return x, nu
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_batch_matches_single_rays(kappa, rng):
+    x, nu = random_batch(rng, kappa)
+    g = np.zeros((len(x), 3))
+    g[:, :2] = rng.normal(scale=0.01, size=(len(x), 2))
+    std = refract_standard(x, nu, kappa)
+    meta = refract_metasurface(x, nu, kappa, g, k=2.0)
+    assert std.direction.shape == (len(x), 3)
+    assert std.multiplier.shape == (len(x),)
+    for i in range(len(x)):
+        one = refract_standard(x[i], nu[i], kappa)
+        assert np.max(np.abs(std.direction[i] - one.direction)) <= 1e-15
+        assert abs(std.multiplier[i] - one.multiplier) <= 1e-15
+        one = refract_metasurface(x[i], nu[i], kappa, g[i], k=2.0)
+        assert np.max(np.abs(meta.direction[i] - one.direction)) <= 1e-15
+        assert abs(meta.multiplier[i] - one.multiplier) <= 1e-15
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_batch_zero_phase_is_standard_exactly(kappa, rng):
+    x, nu = random_batch(rng, kappa)
+    std = refract_standard(x, nu, kappa)
+    meta = refract_metasurface(x, nu, kappa, np.zeros((len(x), 3)), k=1.0)
+    assert np.array_equal(meta.direction, std.direction)
+    assert np.array_equal(meta.multiplier, std.multiplier)
+
+
+def test_batch_broadcasts_one_normal(rng):
+    x, _ = random_batch(rng, 1.5, n=20)
+    nu = np.array([0.0, 0.0, 1.0])
+    x[:, 2] = np.abs(x[:, 2])
+    res = refract_standard(x, nu, 1.5)
+    for i in range(len(x)):
+        assert np.max(np.abs(res.direction[i]
+                             - refract_standard(x[i], nu, 1.5).direction)) <= 1e-15
+
+
+def test_batch_with_one_tir_ray_raises(rng):
+    kappa = 0.8
+    x, nu = random_batch(rng, kappa, n=10)
+    refract_standard(x, nu, kappa)  # the clean batch refracts
+    nu[7] = [0.0, 0.0, 1.0]
+    x[7] = np.array([1.0, 0.0, 0.1]) / math.hypot(1.0, 0.1)  # grazing row
+    with pytest.raises(TotalInternalReflection, match="ray 7"):
+        refract_standard(x, nu, kappa)
+
+
+def test_batch_with_one_meta_tir_ray_raises():
+    x = np.tile([0.0, 0.0, 1.0], (4, 1))
+    g = np.zeros((4, 3))
+    g[2, 0] = 10.0
+    with pytest.raises(MetaTotalInternalReflection, match="ray 2"):
+        refract_metasurface(x, np.array([0.0, 0.0, 1.0]), 1.5, g, k=1.0)
+
+
+def test_batch_with_one_backward_ray_raises(rng):
+    x, nu = random_batch(rng, 1.5, n=5)
+    x[3] = -x[3]
+    with pytest.raises(InvalidIncidence, match="ray 3"):
+        refract_standard(x, nu, 1.5)
+
+
 def test_deviation_bound_values():
     assert deviation_lower_bound(2.0) == 0.5
     assert deviation_lower_bound(0.8) == 0.8

@@ -65,3 +65,20 @@ def test_from_grid_flat():
     grid = Grid2D.from_box(((-1.0, 1.0), (-1.0, 1.0)), 11)
     s = from_grid(grid, np.full((11, 11), 0.3))
     assert s.height(np.array([0.123, -0.456])) == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["flat", "polynomial", "spline"])
+def test_batch_matches_single_points(kind, dilation_design, rng):
+    s = {
+        "flat": flat(0.4),
+        "polynomial": polynomial({(0, 0): 0.5, (2, 0): 0.3, (1, 1): 0.1,
+                                  (0, 2): -0.2}),
+        "spline": from_design(dilation_design, order=5),
+    }[kind]
+    x = rng.uniform(-0.6, 0.6, (50, 2))
+    h, g, nu = s.height(x), s.gradient(x), s.normal(x)
+    assert h.shape == (50,) and g.shape == (50, 2) and nu.shape == (50, 3)
+    for i in range(len(x)):
+        assert h[i] == s.height(x[i])
+        assert np.array_equal(g[i], s.gradient(x[i]))
+        assert np.array_equal(nu[i], s.normal(x[i]))

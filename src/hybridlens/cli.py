@@ -293,7 +293,10 @@ def build_parser():
         p.add_argument("--force", action="store_true",
                        help="proceed despite failed pre-checks")
         p.add_argument("--gradient-mode", choices=["analytic", "fd"],
-                       default="analytic")
+                       default="fd",
+                       help="phase gradient for verification tracing: finite "
+                            "differences of the interpolated phase (default) "
+                            "or the stored gradient at the nearest node")
         p.set_defaults(handler=handler)
     return parser
 

@@ -7,7 +7,6 @@ k (m1, m2), and a nonzero determinant of the second-order matrix built
 from the field and the lower face guarantees phi exists locally.
 """
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -126,28 +125,39 @@ def intersect_ray(surface, x, e, a, tol_scale=1e-12):
     return float(t[0]) if single else t
 
 
-def midfield_general(field, surface, constants, grid):
-    """Trace every grid ray to the metasurface plane through a surface.
+def ray_to_metasurface(field, surface, constants, x):
+    """Trace rays from source points ``x`` (2,) or (n, 2) to {x3 = a}.
 
-    For all nodes x at once: intersect (x,0) + t e(x) with the graph,
-    refract with the standard law, then advance to {x3 = a}.
+    Intersects (x, 0) + t e(x) with the lower face, refracts with the
+    standard law and advances to the metasurface plane.  Returns the
+    path length t in medium I, the direction m in medium II, the
+    distance d from the face to the plane and the footprint Q there.
+    Raises ``NonPositiveDepth`` if a hit lies on or above the plane.
     """
-    constants.require_lens_geometry()
     k1, a = constants.kappa1, constants.a
-    x = grid.nodes()
+    x = np.asarray(x, dtype=float)
     e = field.direction(x)
-    t = intersect_ray(surface, x, e, a)
-    hit2 = x + t[:, None] * e[:, :2]
+    t = np.asarray(intersect_ray(surface, x, e, a))
+    hit2 = x + t[..., None] * e[..., :2]
     nu = surface.normal(hit2)
     m = refract_standard(e, nu, k1).direction
-    depth = a - t * e[:, 2]
-    if np.any(depth <= 0.0):
-        i = int(np.flatnonzero(depth <= 0.0)[0])
+    depth = a - t * e[..., 2]
+    bad = np.flatnonzero(depth <= 0.0)
+    if bad.size:
+        i = bad[0]
         raise NonPositiveDepth(
-            f"a - rho e3 = {depth[i]:.3e} at {tuple(x[i].tolist())}"
+            f"a - rho e3 = {depth.flat[i]:.3e} at "
+            f"{tuple(x.reshape(-1, 2)[i].tolist())}"
         )
-    d = depth / m[:, 2]
-    q = hit2 + d[:, None] * m[:, :2]
+    d = depth / m[..., 2]
+    return t, m, d, hit2 + d[..., None] * m[..., :2]
+
+
+def midfield_general(field, surface, constants, grid):
+    """Trace every grid ray to the metasurface plane through a surface,
+    all nodes at once (see ``ray_to_metasurface``)."""
+    constants.require_lens_geometry()
+    t, m, d, q = ray_to_metasurface(field, surface, constants, grid.nodes())
     shape = grid.shape
     return MidField(grid=grid, m=m.reshape(shape + (3,)), d=d.reshape(shape),
                     Q=q.reshape(shape + (2,)), rho=t.reshape(shape))
@@ -170,23 +180,8 @@ def midfield_vertical(grid, rho, drho, constants):
     return MidField(grid=grid, m=m, d=d, Q=q, rho=rho, delta=delta)
 
 
-def _ray_functions(field, surface, constants):
-    """Scalar maps x -> rho, m, d used for FD differentiation."""
-    k1, a = constants.kappa1, constants.a
-
-    def trace(x):
-        e = field.direction(x)
-        t = intersect_ray(surface, x, e, a)
-        nu = surface.normal(x + t * e[:2])
-        m = refract_standard(e, nu, k1).direction
-        d = (a - t * e[2]) / m[2]
-        return t, m, d
-
-    return trace
-
-
 def sufficient_det_general(field, surface, constants, x0, fd_step=1e-4,
-                           tol=None, allow_fd=True):
+                           tol=None):
     """Second-order determinant deciding local existence of the phase.
 
     Assembles
@@ -206,13 +201,11 @@ def sufficient_det_general(field, surface, constants, x0, fd_step=1e-4,
     stencil = FDStencil(fd_step, fd_step, order=4)
     if field.hess_potential is not None:
         d2h = np.asarray(field.hess_potential(x0), dtype=float)
-    elif allow_fd:
-        d2h = fd_hessian(field.potential, x0, stencil)
     else:
-        raise DerivativeUnavailable("no analytic D^2 h and FD disabled")
+        d2h = fd_hessian(field.potential, x0, stencil)
 
-    trace = _ray_functions(field, surface, constants)
-    rho0, m0, d0 = trace(x0)
+    trace = lambda x: ray_to_metasurface(field, surface, constants, x)
+    rho0, m0, d0, _ = trace(x0)
     e0 = field.direction(x0)
     de0 = field.jacobian(x0, stencil)
 
@@ -220,8 +213,6 @@ def sufficient_det_general(field, surface, constants, x0, fd_step=1e-4,
     m_f = lambda x: trace(x)[1]
     mde_f = lambda x: m_f(x) @ field.jacobian(x, stencil)
 
-    if not allow_fd:
-        raise DerivativeUnavailable("general determinant needs FD enabled")
     drho = fd_gradient(rho_f, x0, stencil)
     d2rho = fd_hessian(rho_f, x0, stencil)
     dm = fd_jacobian(m_f, x0, stencil)

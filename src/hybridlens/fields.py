@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotIntegrable
-from .geometry import FDStencil, Grid2D, fd_jacobian, scalar_curl
+from .geometry import FDStencil, fd_jacobian, scalar_curl, staircase
 from .reports import ConditionReport
 
 
@@ -21,8 +21,9 @@ class IncidentField:
     """Unit direction field with optional analytic derivatives.
 
     ``e`` maps a point (2,) to a direction (3,); to be traced in batch
-    (``midfield_general``, ``trace_through``) it also maps an (n, 2)
-    array of points to (n, 3) directions, as the builtin fields do.
+    (``midfield_general``, ``trace_through``) or integrated by
+    ``recover_potential`` it also maps an (n, 2) array of points to
+    (n, 3) directions, as the builtin fields do.
     ``jac`` is the 3x2 Jacobian of e; ``potential`` is h with grad h = e'
     when known in closed form; ``hess_potential`` is D^2 h.
     """
@@ -44,7 +45,7 @@ class IncidentField:
         return e
 
     def eprime(self, x):
-        return self.direction(x)[:2]
+        return self.direction(x)[..., :2]
 
     def jacobian(self, x, stencil=None):
         """3x2 Jacobian of e, analytic when available, else central FD."""
@@ -122,13 +123,6 @@ def point_source(source):
     )
 
 
-def from_callbacks(name, e, jac=None, potential=None, hess_potential=None):
-    """User-supplied field with optional analytic derivatives."""
-    return IncidentField(
-        name=name, e=e, jac=jac, potential=potential, hess_potential=hess_potential
-    )
-
-
 def curl_condition(field, grid, tol, stencil=None):
     """Max |curl e'| over the grid; passes iff below ``tol``."""
     worst = 0.0
@@ -151,57 +145,22 @@ def curl_condition(field, grid, tol, stencil=None):
     )
 
 
-def _simpson_segment(g, p, q):
-    """Composite-Simpson integral of the 1-D restriction of g along [p, q]."""
-    mid = 0.5 * (p + q)
-    return np.dot(q - p, g(p) + 4.0 * g(mid) + g(q)) / 6.0
-
-
 def recover_potential(field, grid, basepoint, tol=None):
     """Line-integrate e' along staircase paths to rebuild h, h(basepoint)=0.
 
-    Integrates row-major (x1 then x2) and column-major (x2 then x1) and
-    reports the worst disagreement as the path-independence residual.
+    Integrates x1 then x2 and x2 then x1 (RK4 on a slope that ignores
+    the state, i.e. Simpson's rule, with one batched field call per
+    stage), returns their mean and reports the worst disagreement as
+    the path-independence residual.
     """
-    i0, j0 = grid.nearest_index(basepoint)
-    n1, n2 = grid.shape
+    anchor = grid.nearest_index(basepoint)
     if tol is None:
         tol = 1e-6 * grid.diameter
 
-    def ep(x):
+    def slope(x, z):
         return field.eprime(x)
 
-    def cumulative_1d(points):
-        """Cumulative Simpson integrals along a polyline of nodes."""
-        out = np.zeros(len(points))
-        for idx in range(1, len(points)):
-            out[idx] = out[idx - 1] + _simpson_segment(
-                ep, points[idx - 1], points[idx]
-            )
-        return out
-
-    def integrate(first_axis):
-        h = np.zeros((n1, n2))
-        if first_axis == 0:
-            spine = [grid.node(i, j0) for i in range(n1)]
-            along = cumulative_1d(spine)
-            base = along - along[i0]
-            for i in range(n1):
-                col = [grid.node(i, j) for j in range(n2)]
-                vals = cumulative_1d(col)
-                h[i, :] = base[i] + vals - vals[j0]
-        else:
-            spine = [grid.node(i0, j) for j in range(n2)]
-            along = cumulative_1d(spine)
-            base = along - along[j0]
-            for j in range(n2):
-                row = [grid.node(i, j) for i in range(n1)]
-                vals = cumulative_1d(row)
-                h[:, j] = base[j] + vals - vals[i0]
-        return h
-
-    h_row = integrate(0)
-    h_col = integrate(1)
+    h_row, h_col = (staircase(grid, anchor, 0.0, slope, axis) for axis in (0, 1))
     residual = float(np.max(np.abs(h_row - h_col)))
     if residual > 10.0 * tol:
         raise NotIntegrable(

@@ -1,4 +1,5 @@
-"""Small fixed-dimension linear algebra and finite-difference machinery.
+"""Small fixed-dimension linear algebra, finite-difference machinery, the
+grid, and RK4 integration over it from an anchor node.
 
 Vectors are plain numpy arrays treated as row vectors; ``outer(u, v)``
 is u^t v so that ``w @ outer(u, v) = (w . u) v`` for row vectors acting
@@ -10,20 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation
-
-UNIT_TOL = 1e-12
-
-
-def as_unit3(v, tol=UNIT_TOL):
-    """Validate and return a unit 3-vector."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > tol:
-        raise ValueError(f"|v| = {n!r} is not 1 within {tol}")
-    return v
-
 
 def cross2(a, b):
     """Scalar cross product a1*b2 - a2*b1 of two 2-vectors."""
@@ -58,10 +45,6 @@ def perp(a):
 def outer(u, v):
     """Rank-1 matrix u^t v (row-vector convention)."""
     return np.outer(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-
-
-def sym_part(m):
-    return 0.5 * (m + m.T)
 
 
 def sym_eig_2x2(m):
@@ -258,3 +241,61 @@ class Grid2D:
 
     def node(self, i, j):
         return np.array([self.x1[i], self.x2[j]])
+
+
+def _rk4_sweep(z_init, positions, deriv):
+    """March z along a 1-D chain of positions with classical RK4.
+
+    ``z_init`` may be scalar or a vector of independent states; ``deriv``
+    takes (t, z) with matching shapes.  Returns states at every position.
+    """
+    states = [np.array(z_init, dtype=float, copy=True)]
+    for t0, t1 in zip(positions[:-1], positions[1:]):
+        h = t1 - t0
+        z = states[-1]
+        k1 = deriv(t0, z)
+        k2 = deriv(t0 + 0.5 * h, z + 0.5 * h * k1)
+        k3 = deriv(t0 + 0.5 * h, z + 0.5 * h * k2)
+        k4 = deriv(t1, z + h * k3)
+        states.append(z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(states)
+
+
+def march_both_ways(z_init, positions, k, deriv):
+    """RK4-march from ``positions[k]`` to both ends of the chain.
+
+    Returns the states at every position, in the order of ``positions``.
+    """
+    ahead = _rk4_sweep(z_init, positions[k:], deriv)
+    behind = _rk4_sweep(z_init, positions[k::-1], deriv)
+    return np.concatenate([behind[:0:-1], ahead])
+
+
+def staircase(grid, anchor, z0, slope, first_axis):
+    """Integrate dz = slope(x, z) . dx over the grid from an anchor node.
+
+    ``slope`` maps points (n, 2) and states (n,) to (n, 2).  RK4 marches
+    z from node ``anchor`` = (i, j) along the grid line through it on
+    ``first_axis``, then from every node of that line along the other
+    axis.  Returns z on the grid, shape ``grid.shape``.  When the slope
+    is a gradient field the result does not depend on ``first_axis`` up
+    to RK4 accuracy; a slope that ignores z is integrated by Simpson's
+    rule.
+    """
+    a, b = first_axis, 1 - first_axis
+    axes = (grid.x1, grid.x2)
+
+    def along_line(t, z):
+        x = np.empty((1, 2))
+        x[0, a], x[0, b] = t, axes[b][anchor[b]]
+        return slope(x, z)[:, a]
+
+    z_line = march_both_ways(np.atleast_1d(z0), axes[a], anchor[a], along_line)
+
+    def across(t, z):
+        x = np.empty((axes[a].size, 2))
+        x[:, a], x[:, b] = axes[a], t
+        return slope(x, z)[:, b]
+
+    z = march_both_ways(z_line[:, 0], axes[b], anchor[b], across)
+    return z.T if first_axis == 0 else z

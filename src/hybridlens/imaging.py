@@ -12,14 +12,13 @@ integrating in both axis orders.
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from .errors import FeasibilityViolation, PathInconsistency, QuadratureError
-from .geometry import Grid2D, outer
+from .geometry import Grid2D, march_both_ways, outer, staircase
 from .maps import EigenPair, FixedPoint, TargetMap, eigen_structure
 from .reports import ConditionReport
 from .snell import OpticalConstants
@@ -165,72 +164,13 @@ def default_z0(target_map, constants, x0):
     return 0.5 * (lo + hi)
 
 
-def _rk4_sweep(z_init, positions, deriv):
-    """March z along a 1-D chain of positions with classical RK4.
-
-    ``z_init`` may be scalar or a vector of independent states; ``deriv``
-    takes (t, z) with matching shapes.  Returns states at every position.
-    """
-    states = [np.array(z_init, dtype=float, copy=True)]
-    for t0, t1 in zip(positions[:-1], positions[1:]):
-        h = t1 - t0
-        z = states[-1]
-        k1 = deriv(t0, z)
-        k2 = deriv(t0 + 0.5 * h, z + 0.5 * h * k1)
-        k3 = deriv(t0 + 0.5 * h, z + 0.5 * h * k2)
-        k4 = deriv(t1, z + h * k3)
-        states.append(z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    return np.array(states)
-
-
-def _integrate_order(grid, target_map, k1, a, i0, j0, z0, first_axis):
-    n1, n2 = grid.shape
-
-    def v_component(x, z, comp):
-        return rhs_V(x, z, target_map, k1, a)[..., comp]
-
-    z = np.zeros((n1, n2))
-    if first_axis == 0:
-        def spine_deriv(t, zz):
-            return v_component(np.array([t, grid.x2[j0]]), np.atleast_1d(zz), 0)[0]
-
-        right = _rk4_sweep(z0, grid.x1[i0:], spine_deriv)
-        left = _rk4_sweep(z0, grid.x1[i0::-1], spine_deriv)
-        z_spine = np.concatenate([left[::-1][:-1], right])
-
-        def col_deriv(t, zz):
-            x = np.column_stack([grid.x1, np.full(n1, t)])
-            return v_component(x, zz, 1)
-
-        up = _rk4_sweep(z_spine, grid.x2[j0:], col_deriv)
-        down = _rk4_sweep(z_spine, grid.x2[j0::-1], col_deriv)
-        z[:, j0:] = up.T
-        z[:, : j0 + 1] = down[::-1].T
-    else:
-        def spine_deriv(t, zz):
-            return v_component(np.array([grid.x1[i0], t]), np.atleast_1d(zz), 1)[0]
-
-        up = _rk4_sweep(z0, grid.x2[j0:], spine_deriv)
-        down = _rk4_sweep(z0, grid.x2[j0::-1], spine_deriv)
-        z_spine = np.concatenate([down[::-1][:-1], up])
-
-        def row_deriv(t, zz):
-            x = np.column_stack([np.full(n2, t), grid.x2])
-            return v_component(x, zz, 0)
-
-        right = _rk4_sweep(z_spine, grid.x1[i0:], row_deriv)
-        left = _rk4_sweep(z_spine, grid.x1[i0::-1], row_deriv)
-        z[i0:, :] = right
-        z[: i0 + 1, :] = left[::-1]
-    return z
-
-
 def solve_rho(target_map, constants, grid, x0, z0=None, path_tol=None):
     """Integrate the lens PDE over the grid from the anchor (x0, z0).
 
-    Integrates column-after-spine in both axis orders; for admissible
-    maps the results agree to RK4 accuracy, and a larger disagreement
-    raises ``PathInconsistency`` (the integrability test is an iff).
+    Integrates the staircase in both axis orders and keeps the x1-first
+    one; for admissible maps the two agree to RK4 accuracy, and a larger
+    disagreement raises ``PathInconsistency`` (the integrability test is
+    an iff).
     """
     constants.require_lens_geometry()
     k1, a = constants.kappa1, constants.a
@@ -244,8 +184,10 @@ def solve_rho(target_map, constants, grid, x0, z0=None, path_tol=None):
     if not (lo < z0 < hi):
         raise FeasibilityViolation(f"z0 = {z0} outside admissible ({lo}, {hi})")
 
-    z_a = _integrate_order(grid, target_map, k1, a, i0, j0, z0, first_axis=0)
-    z_b = _integrate_order(grid, target_map, k1, a, i0, j0, z0, first_axis=1)
+    def slope(x, z):
+        return rhs_V(x, z, target_map, k1, a)
+
+    z_a, z_b = (staircase(grid, (i0, j0), z0, slope, axis) for axis in (0, 1))
     residual = float(np.max(np.abs(z_a - z_b)))
     h = float(np.max(grid.spacing))
     if path_tol is None:
@@ -287,35 +229,33 @@ def _profile_terms(design, x0, z0):
     return s, ds, phi, dphi, ss, bulge
 
 
+def _state_at(design, x0, z0):
+    """(x0, z0), defaulting to the design's anchor, or to the node
+    nearest ``x0`` when only ``x0`` is given."""
+    if x0 is None:
+        return design.x0, design.z0
+    if z0 is None:
+        return design.node_state(*design.grid.nearest_index(x0))
+    return x0, z0
+
+
 def hessian_closed_form(design, x0=None, z0=None):
     """Closed-form D^2 rho at a point of a solved design."""
-    if x0 is None:
-        x0, z0 = design.x0, design.z0
-    if z0 is None:
-        i, j = design.grid.nearest_index(x0)
-        x0, z0 = design.node_state(i, j)
+    x0, z0 = _state_at(design, x0, z0)
     _, ds, phi, _, ss, bulge = _profile_terms(design, x0, z0)
     return (phi / z0) * bulge @ ((phi / z0**2) * ss - ds)
 
 
 def matA_closed_form(design, x0=None, z0=None):
     """The non-singularity matrix as the factored product with I + DS."""
-    if x0 is None:
-        x0, z0 = design.x0, design.z0
-    if z0 is None:
-        i, j = design.grid.nearest_index(x0)
-        x0, z0 = design.node_state(i, j)
+    x0, z0 = _state_at(design, x0, z0)
     _, ds, _, _, _, bulge = _profile_terms(design, x0, z0)
     return bulge @ (np.eye(2) + ds)
 
 
 def matA_direct(design, x0=None, z0=None):
     """Direct assembly from D rho, D^2 rho and Delta, for cross-validation."""
-    if x0 is None:
-        x0, z0 = design.x0, design.z0
-    if z0 is None:
-        i, j = design.grid.nearest_index(x0)
-        x0, z0 = design.node_state(i, j)
+    x0, z0 = _state_at(design, x0, z0)
     k1 = design.constants.kappa1
     x0 = np.asarray(x0, dtype=float)
     drho = -rhs_V(x0, np.asarray(z0), design.target_map, k1)
@@ -431,13 +371,9 @@ def solve_rho_2d(s_func, constants, t_range, z0, step):
 
     n_pos = max(1, int(round(t_max / step))) if t_max > 0 else 0
     n_neg = max(1, int(round(-t_min / step))) if t_min < 0 else 0
-    t_pos = np.linspace(0.0, t_max, n_pos + 1)
-    t_neg = np.linspace(0.0, t_min, n_neg + 1)
-    z_pos = _rk4_sweep(z0, t_pos, deriv)
-    z_neg = _rk4_sweep(z0, t_neg, deriv)
-    t = np.concatenate([t_neg[::-1][:-1], t_pos])
-    z = np.concatenate([z_neg[::-1][:-1], z_pos])
-    return t, a - z
+    t = np.concatenate([np.linspace(0.0, t_min, n_neg + 1)[:0:-1],
+                        np.linspace(0.0, t_max, n_pos + 1)])
+    return t, a - march_both_ways(z0, t, n_neg, deriv)
 
 
 def explicit_dilation_2d(alpha, kappa1, a, z0, t, quad_tol=1e-13):

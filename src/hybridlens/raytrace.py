@@ -124,6 +124,8 @@ def trace_through(lens, incident_field, constants, samples,
     grad_phi = _PhaseGradient(lens, gradient_mode)
     n = samples.shape[0]
 
+    # Own copy of farfield.ray_to_metasurface, so that the verifier does
+    # not share code with the design it checks.
     e = incident_field.direction(samples)
     t = intersect_ray(lens.surface, samples, e, a)
     hits = np.empty((n, 3))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hybridlens import io
-from hybridlens.cli import main
+from hybridlens.cli import build_parser, main
 
 CONSTANTS = {"n1": 1.0, "n2": 1.5, "n3": 1.0, "a": 1.0, "c": 1.5}
 
@@ -172,3 +172,12 @@ def test_lemma_check(tmp_path):
     assert main(["lemma-check", "--config", cfg]) == 0
     report = io.read_json(tmp_path / "out" / "lemma_report.json")
     assert report["max_residual"] <= report["tol"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["design-imaging", "--config", "cfg.json"],
+    ["design-farfield", "--config", "cfg.json"],
+    ["trace", "--design", "out"],
+])
+def test_gradient_mode_defaults_to_fd(argv):
+    assert build_parser().parse_args(argv).gradient_mode == "fd"

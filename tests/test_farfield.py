@@ -8,6 +8,7 @@ from hybridlens.errors import (
     DerivativeUnavailable,
     MissedSurface,
     NonInjectiveFootprint,
+    NonPositiveDepth,
     SingularHessian,
 )
 from hybridlens.farfield import (
@@ -18,11 +19,13 @@ from hybridlens.farfield import (
     intersect_ray,
     midfield_general,
     midfield_vertical,
+    ray_to_metasurface,
     sufficient_det_general,
     sufficient_det_vertical,
 )
-from hybridlens.fields import collimated, from_callbacks, point_source, vertical
+from hybridlens.fields import IncidentField, collimated, point_source, vertical
 from hybridlens.geometry import Grid2D
+from hybridlens.raytrace import TraceableLens, trace_through
 from hybridlens.reports import ConditionReport
 from hybridlens.snell import refract_standard
 from hybridlens.surfaces import flat, from_design, polynomial
@@ -95,6 +98,24 @@ class TestMidfieldGeneral:
                 assert abs(mid.d[i, j] - d) <= 1e-12
                 assert np.max(np.abs(mid.Q[i, j] - (hit2 + d * m[:2]))) <= 1e-12
 
+    def test_trace_through_reproduces_nodes_bit_for_bit(self, constants):
+        # the verifier keeps its own copy of the ray step; on grid nodes
+        # both copies must do the same arithmetic
+        grid = Grid2D.from_box(((-0.4, 0.4), (-0.4, 0.4)), 31)
+        field = point_source((0.1, 0.0, -3.0))
+        mid = midfield_general(field, FACE, constants, grid)
+        lens = TraceableLens(surface=FACE, grid=grid,
+                             phase=build_phase(field, mid, constants))
+        report = trace_through(lens, field, constants, grid.nodes())
+        assert np.array_equal(report.meta_points, mid.Q.reshape(-1, 2))
+        assert np.array_equal(report.mid_directions, mid.m.reshape(-1, 3))
+
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros((3, 2))],
+                             ids=["point", "batch"])
+    def test_face_on_the_metasurface_plane_raises(self, constants, x):
+        with pytest.raises(NonPositiveDepth):
+            ray_to_metasurface(vertical(), flat(constants.a), constants, x)
+
 
 class TestMidfieldVertical:
     def test_unit_directions_positive_depth(self, dilation_design, constants):
@@ -150,7 +171,7 @@ class TestBuildPhase:
     def test_requires_potential_or_grid(self, dilation_design, constants):
         d = dilation_design
         mid = midfield_vertical(d.grid, d.rho, d.drho, constants)
-        bare = from_callbacks("bare", lambda x: np.array([0.0, 0.0, 1.0]))
+        bare = IncidentField("bare", lambda x: np.array([0.0, 0.0, 1.0]))
         with pytest.raises(DerivativeUnavailable):
             build_phase(bare, mid, constants)
 
@@ -196,7 +217,7 @@ class TestSufficientDets:
         assert math.isfinite(report.margins["det"])
 
     def test_general_needs_potential(self, constants):
-        bare = from_callbacks("bare", lambda x: np.array([0.0, 0.0, 1.0]))
+        bare = IncidentField("bare", lambda x: np.array([0.0, 0.0, 1.0]))
         with pytest.raises(DerivativeUnavailable):
             sufficient_det_general(bare, QUAD, constants, np.zeros(2))
 

@@ -3,9 +3,9 @@ import pytest
 
 from hybridlens.errors import NotIntegrable
 from hybridlens.fields import (
+    IncidentField,
     collimated,
     curl_condition,
-    from_callbacks,
     point_source,
     recover_potential,
     vertical,
@@ -60,10 +60,11 @@ def test_curl_condition_passes(field, grid):
 
 def rotational_field(alpha):
     def e(x):
-        v = np.array([-alpha * x[1], alpha * x[0], 1.0])
-        return v / np.linalg.norm(v)
+        v = np.stack([-alpha * x[..., 1], alpha * x[..., 0],
+                      np.ones(x.shape[:-1])], axis=-1)
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
-    return from_callbacks("swirl", e)
+    return IncidentField("swirl", e)
 
 
 def test_curl_condition_fails_for_swirl(grid):
@@ -105,6 +106,19 @@ def test_recover_potential_point_source(grid):
     assert np.max(np.abs(h - exact)) < 1e-8
 
 
+def test_recover_potential_non_square_grid_off_centre_basepoint():
+    grid = Grid2D.from_box(((-0.5, 0.5), (-0.4, 0.6)), 21, 31)
+    field = point_source((0.1, -0.2, -3.0))
+    h, residual = recover_potential(field, grid, basepoint=(0.2, 0.3))
+    assert h.shape == (21, 31)
+    assert residual < 1e-8
+    i0, j0 = grid.nearest_index((0.2, 0.3))
+    x1, x2 = grid.meshgrid()
+    exact = np.hypot(np.hypot(x1 - 0.1, x2 + 0.2), 3.0)
+    exact -= exact[i0, j0]
+    assert np.max(np.abs(h - exact)) < 1e-8
+
+
 def test_recover_potential_rejects_rotational(grid):
     with pytest.raises(NotIntegrable):
         recover_potential(rotational_field(0.5), grid, basepoint=(0.0, 0.0),
@@ -114,13 +128,16 @@ def test_recover_potential_rejects_rotational(grid):
 @pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: f.name)
 def test_batch_direction_matches_single_points(field, rng):
     x = rng.uniform(-0.5, 0.5, (30, 2))
-    e = field.direction(x)
+    e, ep = field.direction(x), field.eprime(x)
     assert e.shape == (30, 3)
+    assert ep.shape == (30, 2)
     for i in range(len(x)):
         assert np.array_equal(e[i], field.direction(x[i]))
+        assert np.array_equal(ep[i], field.eprime(x[i]))
 
 
 def test_scalar_only_callback_rejected_for_a_batch():
-    bare = from_callbacks("bare", lambda x: np.array([0.0, 0.0, 1.0]))
+    bare = IncidentField("bare", lambda x: np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         bare.direction(np.zeros((4, 2)))
+

@@ -15,8 +15,8 @@ from hybridlens.geometry import (
     outer,
     perp,
     scalar_curl,
+    staircase,
     sym_eig_2x2,
-    sym_part,
 )
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
@@ -62,13 +62,6 @@ def test_sym_eig_2x2_diagonalizes(entries):
     for i in range(2):
         assert np.allclose(m @ vecs[:, i], lam[i] * vecs[:, i],
                            atol=1e-10 * scale)
-
-
-def test_sym_part():
-    m = np.array([[1.0, 2.0], [0.0, 3.0]])
-    s = sym_part(m)
-    assert np.allclose(s, s.T)
-    assert np.allclose(s, [[1.0, 1.0], [1.0, 3.0]])
 
 
 def test_fd_gradient_quadratic_exact():
@@ -158,3 +151,19 @@ class TestGrid2D:
         assert x1.shape == (4, 6)
         assert np.allclose(x1[:, 0], g.x1)
         assert np.allclose(x2[0, :], g.x2)
+
+
+@pytest.mark.parametrize("first_axis", [0, 1])
+def test_staircase_integrates_a_cubic_gradient_exactly(first_axis):
+    # Simpson's rule, which RK4 reduces to on a slope that ignores z, is
+    # exact for cubics; a transposed or mirrored march would not be
+    grid = Grid2D.from_box(((-0.3, 0.9), (-0.5, 0.2)), 13, 8)
+    h = lambda x1, x2: x1**3 - 2.0 * x1 * x2**2 + x2**3 + 0.5 * x1
+    slope = lambda x, z: np.stack(
+        [3.0 * x[:, 0] ** 2 - 2.0 * x[:, 1] ** 2 + 0.5,
+         -4.0 * x[:, 0] * x[:, 1] + 3.0 * x[:, 1] ** 2], axis=-1)
+    z = staircase(grid, (9, 2), 1.0, slope, first_axis)
+    x1, x2 = grid.meshgrid()
+    exact = 1.0 + h(x1, x2) - h(grid.x1[9], grid.x2[2])
+    assert z.shape == (13, 8)
+    assert np.max(np.abs(z - exact)) < 1e-14

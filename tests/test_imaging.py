@@ -128,6 +128,25 @@ class TestSolveRho:
         with pytest.raises(PathInconsistency):
             solve_rho(rotation(0.3), constants, grid, (0.0, 0.0))
 
+    def test_non_square_grid_off_centre_anchor(self, constants):
+        # the dilation's solution is radial, z(x) = Z(|x|), with Z the
+        # planar profile for S(t) = alpha t; the anchor takes Z there
+        alpha, z_origin = 0.2, 0.5
+        grid = Grid2D.from_box(((-0.5, 0.5), (-0.5, 0.5)), 33, 25)
+        i0, j0 = grid.nearest_index((0.25, -0.125))
+        assert (i0, j0) == (24, 9)
+        exact = lambda x: explicit_dilation_2d(
+            alpha, KAPPA1, constants.a, z_origin, float(np.hypot(*x)))
+        d = solve_rho(dilation(alpha), constants, grid, grid.node(i0, j0),
+                      z0=exact(grid.node(i0, j0)))
+        assert d.z.shape == (33, 25)
+        assert d.path_residual < 1e-8
+        # RK4 at steps 1/32 and 1/24 is accurate to about 1.4e-8 here
+        row = [exact(grid.node(i0, j)) for j in range(25)]
+        col = [exact(grid.node(i, j0)) for i in range(33)]
+        assert np.max(np.abs(d.z[i0, :] - row)) < 1e-7
+        assert np.max(np.abs(d.z[:, j0] - col)) < 1e-7
+
     def test_identity_map_gives_flat_face(self, constants):
         grid = Grid2D.from_box(((-0.3, 0.3), (-0.3, 0.3)), 21)
         d = solve_rho(identity(), constants, grid, (0.0, 0.0), z0=0.5)

@@ -83,8 +83,8 @@ def _trace_samples(grid, margin_cells=5, limit=1024):
     ii = np.arange(margin_cells, n1 - margin_cells)
     jj = np.arange(margin_cells, n2 - margin_cells)
     stride = max(1, int(np.ceil(np.sqrt(ii.size * jj.size / limit))))
-    pts = [grid.node(i, j) for i in ii[::stride] for j in jj[::stride]]
-    return np.array(pts)
+    i, j = np.meshgrid(ii[::stride], jj[::stride], indexing="ij")
+    return np.column_stack([grid.x1[i.ravel()], grid.x2[j.ravel()]])
 
 
 def cmd_design_imaging(args):

@@ -21,6 +21,7 @@ from .errors import (
 from .geometry import (
     FDStencil,
     Grid2D,
+    batch_eval,
     fd_gradient,
     fd_hessian,
     fd_jacobian,
@@ -200,7 +201,8 @@ def sufficient_det_general(field, surface, constants, x0, fd_step=1e-4,
         )
     stencil = FDStencil(fd_step, fd_step, order=4)
     if field.hess_potential is not None:
-        d2h = np.asarray(field.hess_potential(x0), dtype=float)
+        d2h = batch_eval(field.hess_potential, x0, (2, 2),
+                         f"field {field.name!r} hess_potential")
     else:
         d2h = fd_hessian(field.potential, x0, stencil)
 
@@ -348,9 +350,8 @@ def build_phase(field, midfield, constants, h_grid=None, center=None,
             raise DerivativeUnavailable(
                 "no potential available; pass h_grid from recover_potential"
             )
-        h_grid = np.array(
-            [[field.potential(grid.node(i, j)) for j in range(n2)] for i in range(n1)]
-        )
+        h_grid = batch_eval(field.potential, grid.nodes(), (),
+                            f"field {field.name!r} potential").reshape(grid.shape)
     f = (np.asarray(h_grid, dtype=float) + midfield.rho) / k1 + midfield.d
     if center is None:
         center = (n1 // 2, n2 // 2)

@@ -12,7 +12,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotIntegrable
-from .geometry import FDStencil, fd_jacobian, scalar_curl, staircase
+from .geometry import (
+    FDStencil,
+    batch_eval,
+    constant_over,
+    fd_jacobian,
+    staircase,
+)
 from .reports import ConditionReport
 
 
@@ -20,55 +26,48 @@ from .reports import ConditionReport
 class IncidentField:
     """Unit direction field with optional analytic derivatives.
 
-    ``e`` maps a point (2,) to a direction (3,); to be traced in batch
-    (``midfield_general``, ``trace_through``) or integrated by
-    ``recover_potential`` it also maps an (n, 2) array of points to
-    (n, 3) directions, as the builtin fields do.
-    ``jac`` is the 3x2 Jacobian of e; ``potential`` is h with grad h = e'
-    when known in closed form; ``hess_potential`` is D^2 h.
+    Every callback takes points (..., 2), a single point being the
+    batch ``()``: ``e`` gives directions (..., 3); ``jac``, the Jacobian
+    of e, gives (..., 3, 2); ``potential``, h with grad h = e' when known
+    in closed form, gives (...); ``hess_potential``, D^2 h, gives
+    (..., 2, 2).  A callback that returns another shape makes the call
+    that uses it raise ``ValueError``.
     """
 
     name: str
     e: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    potential: Optional[Callable[[np.ndarray], float]] = None
+    potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def direction(self, x):
         x = np.asarray(x, dtype=float)
-        e = np.asarray(self.e(x), dtype=float)
-        if e.shape != x.shape[:-1] + (3,):
-            raise ValueError(
-                f"field {self.name!r} gave directions of shape {e.shape} "
-                f"for points of shape {x.shape}"
-            )
-        return e
+        return batch_eval(self.e, x, (3,), f"field {self.name!r} e")
 
     def eprime(self, x):
         return self.direction(x)[..., :2]
 
     def jacobian(self, x, stencil=None):
-        """3x2 Jacobian of e, analytic when available, else central FD."""
+        """Jacobian (..., 3, 2) of e, analytic when available, else
+        central differences."""
         x = np.asarray(x, dtype=float)
         if self.jac is not None:
-            return np.asarray(self.jac(x), dtype=float)
-        return fd_jacobian(self.e, x, stencil)
+            return batch_eval(self.jac, x, (3, 2), f"field {self.name!r} jac")
+        return fd_jacobian(self.direction, x, stencil)
 
     def curl_eprime(self, x, stencil=None):
-        if self.jac is not None:
-            j = np.asarray(self.jac(np.asarray(x, dtype=float)), dtype=float)
-            return j[1, 0] - j[0, 1]
-        return scalar_curl(lambda u: self.e(u)[:2], x, stencil)
+        j = self.jacobian(x, stencil)
+        return j[..., 1, 0] - j[..., 0, 1]
 
 
 def vertical():
     """e = (0, 0, 1) everywhere."""
     return IncidentField(
         name="vertical",
-        e=lambda x: np.broadcast_to([0.0, 0.0, 1.0], x.shape[:-1] + (3,)).copy(),
-        jac=lambda x: np.zeros((3, 2)),
-        potential=lambda x: 0.0,
-        hess_potential=lambda x: np.zeros((2, 2)),
+        e=lambda x: constant_over(x, [0.0, 0.0, 1.0]),
+        jac=lambda x: constant_over(x, np.zeros((3, 2))),
+        potential=lambda x: constant_over(x, 0.0),
+        hess_potential=lambda x: constant_over(x, np.zeros((2, 2))),
     )
 
 
@@ -80,10 +79,10 @@ def collimated(direction):
         raise ValueError("collimated field needs e3 > 0")
     return IncidentField(
         name="collimated",
-        e=lambda x, d=d: np.broadcast_to(d, x.shape[:-1] + (3,)).copy(),
-        jac=lambda x: np.zeros((3, 2)),
-        potential=lambda x, d=d: d[0] * x[0] + d[1] * x[1],
-        hess_potential=lambda x: np.zeros((2, 2)),
+        e=lambda x, d=d: constant_over(x, d),
+        jac=lambda x: constant_over(x, np.zeros((3, 2))),
+        potential=lambda x, d=d: d[0] * x[..., 0] + d[1] * x[..., 1],
+        hess_potential=lambda x: constant_over(x, np.zeros((2, 2))),
     )
 
 
@@ -103,20 +102,23 @@ def point_source(source):
         w[..., 2] = -r[2]
         return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
+    def h(x):
+        return np.hypot(np.hypot(x[..., 0] - r[0], x[..., 1] - r[1]), -r[2])
+
     def jac(x):
-        u = np.array([x[0] - r[0], x[1] - r[1]])
-        ell = np.hypot(np.hypot(u[0], u[1]), -r[2])
-        j = np.zeros((3, 2))
-        j[:2, :] = np.eye(2) / ell - np.outer(u, u) / ell**3
-        j[2, :] = r[2] * u / ell**3
+        u = x - r[:2]
+        ell = np.asarray(h(x))[..., None]
+        # a power of arrays, never of numpy scalars, whose ** rounds
+        # differently: one point then rounds as a batch row does
+        ell3 = ell**3
+        j = np.empty(x.shape[:-1] + (3, 2))
+        j[..., :2, :] = (np.eye(2) / ell[..., None]
+                         - (u[..., :, None] * u[..., None, :]) / ell3[..., None])
+        j[..., 2, :] = r[2] * u / ell3
         return j
 
-    def h(x):
-        return float(np.hypot(np.hypot(x[0] - r[0], x[1] - r[1]), -r[2]))
-
     def d2h(x):
-        j = jac(x)
-        return np.array(j[:2, :])
+        return jac(x)[..., :2, :]
 
     return IncidentField(
         name="point_source", e=evaluate, jac=jac, potential=h, hess_potential=d2h
@@ -124,24 +126,24 @@ def point_source(source):
 
 
 def curl_condition(field, grid, tol, stencil=None):
-    """Max |curl e'| over the grid; passes iff below ``tol``."""
-    worst = 0.0
-    worst_node = None
+    """Max |curl e'| over the grid nodes; passes iff below ``tol``, so a
+    non-finite value at any node fails.  The details name the first node
+    reaching the maximum, unless it is 0."""
     if stencil is None and field.jac is None:
         stencil = FDStencil(
             h1=max(1e-5, 0.01 * grid.spacing[0]),
             h2=max(1e-5, 0.01 * grid.spacing[1]),
         )
-    for x in grid.nodes():
-        c = abs(field.curl_eprime(x, stencil))
-        if c > worst:
-            worst, worst_node = c, x
+    x = grid.nodes()
+    curl = np.abs(field.curl_eprime(x, stencil))
+    k = int(np.argmax(curl))  # the first maximum, or the first NaN
+    worst = float(curl[k])
     return ConditionReport(
         name="curl_condition",
         passed=worst <= tol,
         margins={"max_abs_curl": worst, "tol": tol},
         details=f"max |curl e'| = {worst:.3e}"
-        + (f" at {tuple(worst_node)}" if worst_node is not None else ""),
+        + (f" at {tuple(x[k].tolist())}" if worst != 0.0 else ""),
     )
 
 

@@ -13,8 +13,8 @@ import numpy as np
 from .errors import DomainViolation
 
 def cross2(a, b):
-    """Scalar cross product a1*b2 - a2*b1 of two 2-vectors."""
-    return a[0] * b[1] - a[1] * b[0]
+    """Scalar cross product a1*b2 - a2*b1 of 2-vectors (..., 2)."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def cross3(v, w):
@@ -78,9 +78,46 @@ def sym_eig_2x2(m):
     return np.array([lam1, lam2]), np.column_stack([v1, v2])
 
 
+def batch_eval(f, x, tail, what):
+    """``f(x)`` as a float array of shape ``x.shape[:-1] + tail``.
+
+    ``x`` holds points (..., 2); a single point is the batch ``()``.
+    With ``tail=None`` only the leading batch axes are checked.  Raises
+    ``ValueError`` naming ``what`` when a callback breaks this contract,
+    e.g. one written for a single point and called on a batch.
+    """
+    v = np.asarray(f(x), dtype=float)
+    batch = x.shape[:-1]
+    if v.shape[:len(batch)] != batch or (
+        tail is not None and v.shape[len(batch):] != tail
+    ):
+        raise ValueError(
+            f"{what} gave shape {v.shape} for points of shape {x.shape}"
+        )
+    return v
+
+
+def constant_over(x, value):
+    """``value`` repeated at every point of ``x`` (..., 2)."""
+    value = np.asarray(value, dtype=float)
+    return np.broadcast_to(value, np.shape(x)[:-1] + value.shape).copy()
+
+
+def mat2(a, b, c, d):
+    """Matrices [[a, b], [c, d]] of shape (..., 2, 2) from entries (...)."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.stack(
+        [np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2
+    )
+
+
 @dataclass(frozen=True)
 class FDStencil:
-    """Central-difference step sizes for 2-D differentiation."""
+    """Central-difference step sizes for 2-D differentiation.
+
+    ``h1`` and ``h2`` are floats, or arrays (...) of per-point steps for
+    a batch of points (..., 2), as ``for_point`` makes them.
+    """
 
     h1: float = 1e-5
     h2: float = 1e-5
@@ -89,22 +126,20 @@ class FDStencil:
     def __post_init__(self):
         if self.order not in (2, 4):
             raise ValueError("order must be 2 or 4")
-        if self.h1 <= 0 or self.h2 <= 0:
+        if np.any(np.asarray(self.h1) <= 0) or np.any(np.asarray(self.h2) <= 0):
             raise ValueError("step sizes must be positive")
 
     @staticmethod
     def for_point(x, scale=1e-5, order=2):
-        """Default step max(scale, scale*|x_i|) balancing truncation and roundoff."""
-        x = np.asarray(x, dtype=float)
-        return FDStencil(
-            h1=max(scale, scale * abs(x[0])),
-            h2=max(scale, scale * abs(x[1])),
-            order=order,
-        )
+        """Default step max(scale, scale*|x_i|) at each point of ``x``
+        (..., 2), balancing truncation and roundoff."""
+        h = np.maximum(scale, scale * np.abs(np.asarray(x, dtype=float)))
+        return FDStencil(h1=h[..., 0], h2=h[..., 1], order=order)
 
     @property
     def steps(self):
-        return np.array([self.h1, self.h2])
+        """Steps (2,), or (..., 2) for per-point steps."""
+        return np.stack(np.broadcast_arrays(self.h1, self.h2), axis=-1)
 
     @property
     def reach(self):
@@ -122,62 +157,62 @@ def _check_domain(x, stencil, domain):
 
 
 def fd_partial(f, x, axis, stencil, domain=None):
-    """Central-difference partial derivative of a scalar or vector map."""
+    """Central-difference partial derivative along ``axis`` of a map f
+    from points (..., 2) to values (..., *tail), shaped like f(x).
+
+    f is called once per stencil offset, on the whole batch.
+    """
     x = np.asarray(x, dtype=float)
     _check_domain(x, stencil, domain)
-    h = stencil.steps[axis]
-    e = np.zeros_like(x)
+    h = stencil.steps[..., axis]
+    e = np.zeros(2)
     e[axis] = 1.0
+    step = h[..., None] * e
+
+    def f_at(k):
+        return batch_eval(f, x + k * step, None, "f")
+
     if stencil.order == 2:
-        return (np.asarray(f(x + h * e)) - np.asarray(f(x - h * e))) / (2 * h)
-    fp1, fm1 = np.asarray(f(x + h * e)), np.asarray(f(x - h * e))
-    fp2, fm2 = np.asarray(f(x + 2 * h * e)), np.asarray(f(x - 2 * h * e))
-    return (8 * (fp1 - fm1) - (fp2 - fm2)) / (12 * h)
-
-
-def fd_gradient(f, x, stencil=None, domain=None):
-    """Gradient (2,) of a scalar map on R^2 by central differences."""
-    x = np.asarray(x, dtype=float)
-    stencil = stencil or FDStencil.for_point(x)
-    return np.array([fd_partial(f, x, i, stencil, domain) for i in (0, 1)])
+        diff, denom = f_at(1) - f_at(-1), 2 * h
+    else:
+        diff = 8 * (f_at(1) - f_at(-1)) - (f_at(2) - f_at(-2))
+        denom = 12 * h
+    return diff / denom.reshape(denom.shape + (1,) * (diff.ndim - denom.ndim))
 
 
 def fd_jacobian(f, x, stencil=None, domain=None):
-    """Jacobian (m, 2) of a map R^2 -> R^m by central differences."""
+    """Derivative (..., *tail, 2) of a map from points (..., 2) to values
+    (..., *tail) by central differences: the gradient (..., 2) of a
+    scalar map, the Jacobian (..., m, 2) of a map into R^m."""
     x = np.asarray(x, dtype=float)
     stencil = stencil or FDStencil.for_point(x)
-    cols = [fd_partial(f, x, i, stencil, domain) for i in (0, 1)]
-    return np.column_stack([np.atleast_1d(c) for c in cols])
+    return np.stack([fd_partial(f, x, i, stencil, domain) for i in (0, 1)],
+                    axis=-1)
 
 
-def scalar_curl(f, x, stencil=None, jac=None, domain=None):
-    """Scalar curl d(a2)/dx1 - d(a1)/dx2 of a planar field.
-
-    Uses the analytic Jacobian when supplied, else central differences.
-    """
-    x = np.asarray(x, dtype=float)
-    if jac is not None:
-        j = np.asarray(jac(x), dtype=float)
-    else:
-        j = fd_jacobian(f, x, stencil, domain)
-    return j[1, 0] - j[0, 1]
+# The gradient of a scalar map is its Jacobian under the batch contract.
+fd_gradient = fd_jacobian
 
 
 def fd_hessian(f, x, stencil=None, domain=None):
-    """Symmetric Hessian (2, 2) of a scalar map on a 9-point stencil."""
+    """Symmetric Hessian (..., 2, 2) of a scalar map on a 9-point stencil,
+    calling f once per stencil point on the whole batch."""
     x = np.asarray(x, dtype=float)
     stencil = stencil or FDStencil.for_point(x)
     _check_domain(x, stencil, domain)
-    h1, h2 = stencil.steps
-    e1 = np.array([h1, 0.0])
-    e2 = np.array([0.0, h2])
-    f00 = f(x)
-    d11 = (f(x + e1) - 2 * f00 + f(x - e1)) / h1**2
-    d22 = (f(x + e2) - 2 * f00 + f(x - e2)) / h2**2
-    d12 = (f(x + e1 + e2) - f(x + e1 - e2) - f(x - e1 + e2) + f(x - e1 - e2)) / (
-        4 * h1 * h2
-    )
-    return np.array([[d11, d12], [d12, d22]])
+    h1, h2 = stencil.steps[..., 0], stencil.steps[..., 1]
+    e1 = h1[..., None] * np.array([1.0, 0.0])
+    e2 = h2[..., None] * np.array([0.0, 1.0])
+
+    def f_at(p):
+        return batch_eval(f, p, (), "f")
+
+    f00 = f_at(x)
+    d11 = (f_at(x + e1) - 2 * f00 + f_at(x - e1)) / h1**2
+    d22 = (f_at(x + e2) - 2 * f00 + f_at(x - e2)) / h2**2
+    d12 = (f_at(x + e1 + e2) - f_at(x + e1 - e2) - f_at(x - e1 + e2)
+           + f_at(x - e1 - e2)) / (4 * h1 * h2)
+    return mat2(d11, d12, d12, d22)
 
 
 def _nearest(axis, u):

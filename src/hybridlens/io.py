@@ -10,29 +10,20 @@ from pathlib import Path
 import numpy as np
 
 
-def fmt(value):
-    return "%.17g" % float(value)
-
-
 def write_csv(path, header, columns):
     """Write named columns (equal-length 1-D arrays) as a CSV file."""
     columns = [np.asarray(c, dtype=float).ravel() for c in columns]
-    n = columns[0].size
-    if any(c.size != n for c in columns):
+    if any(c.size != columns[0].size for c in columns):
         raise ValueError("columns must have equal length")
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def read_csv(path):
     """Read a CSV written by ``write_csv``; returns (header, dict of columns)."""
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    data = np.array(
-        [[float(v) for v in line.split(",")] for line in text[1:]]
-    )
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     return header, {name: data[:, i] for i, name in enumerate(header)}
 
 

@@ -13,7 +13,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotEigenvector
-from .geometry import FDStencil, cross2, fd_jacobian, perp
+from .geometry import (
+    FDStencil,
+    batch_eval,
+    constant_over,
+    cross2,
+    fd_jacobian,
+    perp,
+)
 from .reports import ConditionReport
 
 
@@ -36,8 +43,9 @@ class EigenPair:
 class TargetMap:
     """Planar target map T with displacement S = T - I.
 
-    ``T`` must broadcast over leading axes (input shape (..., 2)).
-    ``jac_S`` is the per-point analytic Jacobian of S when available.
+    ``T`` maps points (..., 2) to targets (..., 2); ``jac_S``, the
+    analytic Jacobian of S when available, maps them to (..., 2, 2).
+    A single point is the batch ``()``.
     """
 
     name: str
@@ -53,23 +61,29 @@ class TargetMap:
         return self.target(x) - x
 
     def DS(self, x, stencil=None):
+        """DS (..., 2, 2) at points (..., 2): ``jac_S`` when given, else
+        central differences of S."""
         x = np.asarray(x, dtype=float)
         if self.jac_S is not None:
-            return np.asarray(self.jac_S(x), dtype=float)
+            return batch_eval(self.jac_S, x, (2, 2), f"map {self.name!r} jac_S")
         return fd_jacobian(self.S, x, stencil)
 
     def grad_norm_sq(self, x, stencil=None):
         """D|S|^2 = 2 S DS by the chain rule (row-vector convention)."""
-        return 2.0 * self.S(x) @ self.DS(x, stencil)
+        s2 = 2.0 * self.S(x)
+        # a stacked (1, 2) @ (2, 2) matmul rounds each row as s2 @ DS of
+        # one point does
+        return (s2[..., None, :] @ self.DS(x, stencil))[..., 0, :]
 
     def curl_S(self, x, stencil=None):
         ds = self.DS(x, stencil)
-        return ds[1, 0] - ds[0, 1]
+        return ds[..., 1, 0] - ds[..., 0, 1]
 
 
 def identity():
     return TargetMap(name="identity", T=lambda x: np.array(x, dtype=float, copy=True),
-                     jac_S=lambda x: np.zeros((2, 2)), params={})
+                     jac_S=lambda x: constant_over(x, np.zeros((2, 2))),
+                     params={})
 
 
 def dilation(alpha):
@@ -79,7 +93,7 @@ def dilation(alpha):
     return TargetMap(
         name="dilation",
         T=lambda x: (1.0 + alpha) * np.asarray(x, dtype=float),
-        jac_S=lambda x: alpha * np.eye(2),
+        jac_S=lambda x: constant_over(x, alpha * np.eye(2)),
         params={"alpha": alpha},
     )
 
@@ -96,7 +110,9 @@ def horizontal(h, hprime=None):
     jac = None
     if hprime is not None:
         def jac(x):
-            return np.array([[hprime(x[0]) - 1.0, 0.0], [0.0, 0.0]])
+            j = np.zeros(x.shape[:-1] + (2, 2))
+            j[..., 0, 0] = hprime(x[..., 0]) - 1.0
+            return j
 
     return TargetMap(name="horizontal", T=T, jac_S=jac, params={})
 
@@ -115,8 +131,9 @@ def eikonal_distance(gamma):
 
     def jac(x):
         u = np.asarray(x, dtype=float) - g
-        ell = np.linalg.norm(u)
-        return np.eye(2) / ell - np.outer(u, u) / ell**3
+        # |u|^2 by matmul, which rounds like np.dot(u, u) of one point
+        ell = np.sqrt(u[..., None, :] @ u[..., :, None])
+        return np.eye(2) / ell - (u[..., :, None] * u[..., None, :]) / ell**3
 
     return TargetMap(name="eikonal", T=T, jac_S=jac, params={"gamma": tuple(g)})
 
@@ -132,7 +149,7 @@ def rotation(alpha):
     return TargetMap(
         name="rotation",
         T=T,
-        jac_S=lambda x: np.array([[0.0, -alpha], [alpha, 0.0]]),
+        jac_S=lambda x: constant_over(x, [[0.0, -alpha], [alpha, 0.0]]),
         params={"alpha": alpha},
     )
 
@@ -163,34 +180,31 @@ BUILTIN_MAPS = {
 
 
 def admissibility(target_map, grid, tol, stencil=None):
-    """Max |curl S| and |S x D|S|^2| over the grid; passes iff both <= tol."""
-    worst_curl = 0.0
-    worst_cross = 0.0
+    """Max |curl S| and |S x D|S|^2| over the grid nodes; passes iff both
+    are <= tol, so a non-finite value at any node fails."""
     if stencil is None and target_map.jac_S is None:
         stencil = FDStencil(
             h1=max(1e-6, 1e-4 * grid.spacing[0]),
             h2=max(1e-6, 1e-4 * grid.spacing[1]),
         )
-    for x in grid.nodes():
-        worst_curl = max(worst_curl, abs(target_map.curl_S(x, stencil)))
-        s = target_map.S(x)
-        worst_cross = max(
-            worst_cross, abs(cross2(s, target_map.grad_norm_sq(x, stencil)))
-        )
-    passed = worst_curl <= tol and worst_cross <= tol
+    x = grid.nodes()
+    # np.max propagates NaN, so a node where S or DS is undefined fails
+    worst_curl = float(np.max(np.abs(target_map.curl_S(x, stencil))))
+    worst_cross = float(np.max(np.abs(
+        cross2(target_map.S(x), target_map.grad_norm_sq(x, stencil))
+    )))
+    failed = [name for name, worst in
+              [("curl S", worst_curl), ("S x D|S|^2", worst_cross)]
+              if not worst <= tol]
     return ConditionReport(
         name="admissibility",
-        passed=passed,
+        passed=not failed,
         margins={
             "max_abs_curl_S": worst_curl,
             "max_abs_S_cross_grad_normsq": worst_cross,
             "tol": tol,
         },
-        details="both conditions hold" if passed else " and ".join(
-            name for name, bad in
-            [("curl S", worst_curl > tol), ("S x D|S|^2", worst_cross > tol)]
-            if bad
-        ),
+        details=" and ".join(failed) or "both conditions hold",
     )
 
 

@@ -6,7 +6,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .geometry import FDStencil, fd_gradient, fd_hessian
+from .geometry import FDStencil, batch_eval, fd_gradient, fd_hessian, mat2
 
 
 _poly = np.polynomial.polynomial
@@ -16,9 +16,10 @@ _poly = np.polynomial.polynomial
 class Surface:
     """Graph surface x3 = r(x1, x2) with optional analytic derivatives.
 
-    ``value`` and ``grad`` map a point (2,) or a batch of points (n, 2)
-    to r and its gradient, shaped () and (2,) or (n,) and (n, 2);
-    ``hess`` maps one point to the (2, 2) Hessian.
+    ``value``, ``grad`` and ``hess`` map points (..., 2) to r (...), its
+    gradient (..., 2) and its Hessian (..., 2, 2); a single point is
+    the batch ``()``.  Without ``grad`` or ``hess`` the derivatives are
+    central differences of ``value``.
     """
 
     name: str
@@ -34,19 +35,17 @@ class Surface:
         return float(r) if x.ndim == 1 else np.asarray(r, dtype=float)
 
     def gradient(self, x, stencil=None):
-        """Dr(x): (2,) for a point, (n, 2) for a batch of points.
-
-        Without an analytic ``grad`` only single points are supported.
-        """
+        """Dr(x): (2,) for a point, (n, 2) for a batch of points."""
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
+            return batch_eval(self.grad, x, (2,), f"surface {self.name!r} grad")
         return fd_gradient(self.value, x, stencil)
 
     def hessian(self, x, stencil=None):
+        """D^2 r(x): (2, 2) for a point, (n, 2, 2) for a batch of points."""
         x = np.asarray(x, dtype=float)
         if self.hess is not None:
-            return np.asarray(self.hess(x), dtype=float)
+            return batch_eval(self.hess, x, (2, 2), f"surface {self.name!r} hess")
         return fd_hessian(self.value, x, stencil or FDStencil(1e-4, 1e-4))
 
     def normal(self, x):
@@ -65,7 +64,7 @@ def flat(r0):
         name="flat",
         value=lambda x: np.full(x.shape[:-1], r0),
         grad=lambda x: np.zeros(x.shape),
-        hess=lambda x: np.zeros((2, 2)),
+        hess=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
         params={"r0": r0},
     )
 
@@ -94,7 +93,7 @@ def polynomial(coeffs):
         name="polynomial",
         value=lambda x: ev(c, x),
         grad=lambda x: np.stack([ev(c1, x), ev(c2, x)], axis=-1),
-        hess=lambda x: np.array([[ev(c11, x), ev(c12, x)], [ev(c12, x), ev(c22, x)]]),
+        hess=lambda x: mat2(ev(c11, x), ev(c12, x), ev(c12, x), ev(c22, x)),
         params={"coeffs": c.tolist()},
     )
 
@@ -115,9 +114,8 @@ def from_grid(grid, rho, order=3):
         name="spline",
         value=ev,
         grad=lambda x: np.stack([ev(x, dx=1), ev(x, dy=1)], axis=-1),
-        hess=lambda x: np.array(
-            [[ev(x, dx=2), ev(x, dx=1, dy=1)], [ev(x, dx=1, dy=1), ev(x, dy=2)]]
-        ),
+        hess=lambda x: mat2(ev(x, dx=2), ev(x, dx=1, dy=1),
+                            ev(x, dx=1, dy=1), ev(x, dy=2)),
         params={"order": order},
     )
 

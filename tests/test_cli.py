@@ -165,6 +165,37 @@ def test_plot2d_infeasible_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("command, config, extra", [
+    ("design-imaging", "dilation_design.json", ["--grid", "31"]),
+    ("plot2d", "profiles_2d.json", []),
+])
+def test_shipped_configs_run(command, config, extra, tmp_path):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]
+                + extra) == 0
+    if command == "design-imaging":
+        design = io.load_design(out)
+        assert design.grid.shape == (31, 31)
+        assert io.read_json(out / "verdict.json")["existence_verdict"]["passed"]
+    else:
+        alphas = io.read_json(CONFIGS / config)["alphas"]
+        assert len(list(out.glob("profile_alpha_*.csv"))) == len(alphas)
+
+
+def test_trace_samples_are_the_strided_interior_nodes():
+    from hybridlens.cli import _trace_samples
+    from hybridlens.geometry import Grid2D
+
+    grid = Grid2D.from_box(((-0.7, 0.7), (-0.4, 0.7)), 101, 104)
+    ii, jj = np.arange(5, 96), np.arange(5, 99)
+    stride = 3  # ceil(sqrt(91 * 94 / 1024))
+    nodes = np.array([grid.node(i, j) for i in ii[::stride] for j in jj[::stride]])
+    assert np.array_equal(_trace_samples(grid), nodes)
+
+
 def test_lemma_check(tmp_path):
     cfg = write_config(tmp_path, "lemma.json",
                        {"constants": CONSTANTS,

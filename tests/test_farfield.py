@@ -175,6 +175,13 @@ class TestBuildPhase:
         with pytest.raises(DerivativeUnavailable):
             build_phase(bare, mid, constants)
 
+    def test_single_point_potential_rejected(self, dilation_design, constants):
+        d = dilation_design
+        mid = midfield_vertical(d.grid, d.rho, d.drho, constants)
+        single = IncidentField("single", vertical().e, potential=lambda x: 0.0)
+        with pytest.raises(ValueError):
+            build_phase(single, mid, constants)
+
 
 def test_footprint_fold_detected(grid):
     # build a folding footprint Q1 = x1^3 - 0.1 x1 (non-monotone near 0)

@@ -56,6 +56,8 @@ def test_curl_condition_passes(field, grid):
     report = curl_condition(field, grid, tol=1e-10)
     assert report.passed
     assert report.margins["max_abs_curl"] <= 1e-10
+    # the curl of the builtin fields is exactly 0, so no node is named
+    assert report.details == "max |curl e'| = 0.000e+00"
 
 
 def rotational_field(alpha):
@@ -72,6 +74,40 @@ def test_curl_condition_fails_for_swirl(grid):
     assert not report.passed
     # curl of the unnormalized part is 2 alpha; normalization perturbs it
     assert report.margins["max_abs_curl"] > 0.1
+    # the first node reaching the maximum, printed as plain floats
+    assert report.details == "max |curl e'| = 4.000e-01 at (0.0, 0.0)"
+
+
+def cone_field(apex):
+    """e' = (x - apex)/(2|x - apex|), the gradient of |x - apex|/2: curl
+    free everywhere except at the apex, where it is undefined."""
+    p = np.asarray(apex, dtype=float)
+
+    def e(x):
+        u = x - p
+        w = np.empty(x.shape[:-1] + (3,))
+        w[..., :2] = 0.5 * u / np.linalg.norm(u, axis=-1, keepdims=True)
+        w[..., 2] = np.sqrt(0.75)
+        return w
+
+    def jac(x):
+        u = x - p
+        ell = np.linalg.norm(u, axis=-1)[..., None, None]
+        j = np.zeros(x.shape[:-1] + (3, 2))
+        j[..., :2, :] = 0.5 * (np.eye(2) / ell
+                               - u[..., :, None] * u[..., None, :] / ell**3)
+        return j
+
+    return IncidentField("cone", e, jac=jac)
+
+
+def test_curl_condition_fails_on_a_node_where_the_curl_is_undefined(grid):
+    apex = grid.node(14, 8)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        report = curl_condition(cone_field(apex), grid, tol=1e-10)
+    assert not report.passed
+    assert np.isnan(report.margins["max_abs_curl"])
+    assert report.details == f"max |curl e'| = nan at {tuple(apex.tolist())}"
 
 
 def test_point_source_requires_source_below_plane():
@@ -136,8 +172,37 @@ def test_batch_direction_matches_single_points(field, rng):
         assert np.array_equal(ep[i], field.eprime(x[i]))
 
 
-def test_scalar_only_callback_rejected_for_a_batch():
-    bare = IncidentField("bare", lambda x: np.array([0.0, 0.0, 1.0]))
+def test_scalar_only_callback_rejected_for_a_batch(grid):
+    bare = IncidentField("bare", lambda x: np.array([0.0, 0.0, 1.0]),
+                         jac=lambda x: np.zeros((3, 2)))
+    assert np.array_equal(bare.jacobian(np.zeros(2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         bare.direction(np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        bare.jacobian(np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        curl_condition(bare, grid, tol=1e-10)
 
+
+
+# the same fields without jac: derivatives by central differences
+USER_FIELDS = [IncidentField(f"user_{f.name}", f.e) for f in ALL_FIELDS]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS + USER_FIELDS, ids=lambda f: f.name)
+def test_batch_derivatives_match_single_points(field, rng):
+    x = rng.uniform(-0.5, 0.5, (30, 2))
+    jac, curl = field.jacobian(x), field.curl_eprime(x)
+    assert jac.shape == (30, 3, 2) and curl.shape == (30,)
+    for i in range(len(x)):
+        assert np.array_equal(jac[i], field.jacobian(x[i]))
+        assert curl[i] == field.curl_eprime(x[i])
+    assert np.array_equal(field.jacobian(x.reshape(5, 6, 2)),
+                          jac.reshape(5, 6, 3, 2))
+    if field.potential is None:
+        return
+    h, d2h = field.potential(x), field.hess_potential(x)
+    assert h.shape == (30,) and d2h.shape == (30, 2, 2)
+    for i in range(len(x)):
+        assert h[i] == field.potential(x[i])
+        assert np.array_equal(d2h[i], field.hess_potential(x[i]))

@@ -12,9 +12,9 @@ from hybridlens.geometry import (
     fd_gradient,
     fd_hessian,
     fd_jacobian,
+    fd_partial,
     outer,
     perp,
-    scalar_curl,
     staircase,
     sym_eig_2x2,
 )
@@ -85,8 +85,59 @@ def test_fd_jacobian_and_curl():
     x = np.array([0.5, 0.25])
     j = fd_jacobian(f, x, FDStencil(1e-5, 1e-5))
     assert np.allclose(j, [[0.0, 2 * x[1]], [np.cos(x[0]), 0.0]], atol=1e-9)
-    c = scalar_curl(f, x, FDStencil(1e-5, 1e-5))
+    c = j[1, 0] - j[0, 1]  # the scalar curl of a planar field
     assert abs(c - (np.cos(x[0]) - 2 * x[1])) < 1e-9
+
+
+def scalar_map(x):
+    return np.sin(3.0 * x[..., 0]) * np.exp(x[..., 1])
+
+
+def vector_map(x):
+    return np.stack([x[..., 1] ** 2, np.sin(x[..., 0]), x[..., 0] * x[..., 1]],
+                    axis=-1)
+
+
+@pytest.mark.parametrize("stencil", [None, FDStencil(1e-4, 2e-4),
+                                     FDStencil(1e-3, 1e-3, order=4)],
+                         ids=["per-point", "order2", "order4"])
+def test_fd_batch_matches_single_points(stencil, rng):
+    x = rng.uniform(-2.0, 2.0, (40, 2))  # per-point steps differ here
+    cases = [
+        (lambda p: fd_partial(vector_map, p, 1, stencil or FDStencil.for_point(p)),
+         (40, 3)),
+        (lambda p: fd_gradient(scalar_map, p, stencil), (40, 2)),
+        (lambda p: fd_jacobian(vector_map, p, stencil), (40, 3, 2)),
+        (lambda p: fd_hessian(scalar_map, p, stencil), (40, 2, 2)),
+    ]
+    for fd, shape in cases:
+        batch = fd(x)
+        assert batch.shape == shape
+        for i in range(len(x)):
+            assert np.array_equal(batch[i], fd(x[i]))
+        assert np.array_equal(fd(x.reshape(4, 10, 2)),
+                              batch.reshape((4, 10) + shape[1:]))
+
+
+def test_fd_calls_f_once_per_stencil_offset():
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return scalar_map(x)
+
+    x = np.zeros((25, 2))
+    fd_jacobian(f, x, FDStencil(1e-3, 1e-3, order=4))
+    fd_hessian(f, x, FDStencil(1e-3, 1e-3))
+    assert shapes == [(25, 2)] * (8 + 9)
+
+
+def test_fd_rejects_a_single_point_callback():
+    f = lambda x: x[0] ** 2 - x[1]  # indexes one point, not a batch
+    assert fd_gradient(f, np.array([1.0, 2.0]), FDStencil(1e-3, 1e-3)).shape == (2,)
+    for fd in (fd_gradient, fd_jacobian, fd_hessian):
+        with pytest.raises(ValueError):
+            fd(f, np.zeros((5, 2)), FDStencil(1e-3, 1e-3))
 
 
 def test_fd_hessian_symmetric_and_exact_for_quadratics():

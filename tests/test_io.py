@@ -23,9 +23,13 @@ def test_csv_round_trip_bit_stable(tmp_path_factory, values):
     assert np.array_equal(cols["v"], np.array(values))
 
 
-def test_fmt_17_significant_digits():
-    assert io.fmt(1.0 / 3.0) == "0.33333333333333331"
-    assert float(io.fmt(np.pi)) == np.pi
+def test_fmt_17_significant_digits(tmp_path):
+    path = tmp_path / "digits.csv"
+    io.write_csv(path, ["third", "pi"], [np.array([1.0 / 3.0]), np.array([np.pi])])
+    assert path.read_text() == "third,pi\n0.33333333333333331,3.1415926535897931\n"
+    header, cols = io.read_csv(path)
+    assert header == ["third", "pi"]
+    assert cols["third"][0] == 1.0 / 3.0 and cols["pi"][0] == np.pi
 
 
 def test_csv_rejects_ragged_columns(tmp_path):

@@ -9,6 +9,7 @@ from hybridlens.maps import (
     BUILTIN_MAPS,
     EigenPair,
     FixedPoint,
+    TargetMap,
     admissibility,
     dilation,
     eigen_structure,
@@ -68,6 +69,16 @@ def test_admissibility_passes(target_map, grid):
     assert report.passed, report.details
 
 
+def test_admissibility_fails_on_a_node_where_S_is_undefined():
+    # gamma is a node, where S = (x - gamma)/|x - gamma| is 0/0
+    grid = Grid2D.from_box(((-0.3, 0.3), (-0.3, 0.3)), 41)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        report = admissibility(eikonal_distance((0.3, 0.0)), grid, tol=1e-10)
+    assert not report.passed
+    assert np.isnan(report.margins["max_abs_S_cross_grad_normsq"])
+    assert "S x D|S|^2" in report.details
+
+
 def test_rotation_fails_admissibility(grid):
     alpha = 0.3
     report = admissibility(rotation(alpha), grid, tol=1e-10)
@@ -116,3 +127,38 @@ def test_builtin_registry_round_trip():
     assert m.params == {"alpha": 0.25}
     h = BUILTIN_MAPS["horizontal"]({"coeffs": [0.0, 1.2]})
     assert np.allclose(h.target(np.array([1.0, 2.0])), [1.2, 2.0])
+
+
+BATCH_MAPS = [
+    identity(),
+    dilation(0.2),
+    dilation(-0.3),
+    horizontal_poly([0.1, 1.3, 0.0, 0.05]),
+    eikonal_distance((3.0, 0.0)),
+    rotation(0.3),
+]
+# the same maps without jac_S: DS by central differences, per-point steps
+USER_MAPS = [TargetMap(name=f"user_{m.name}", T=m.T) for m in BATCH_MAPS]
+
+
+@pytest.mark.parametrize("target_map", BATCH_MAPS + USER_MAPS,
+                         ids=lambda m: m.name)
+def test_batch_derivatives_match_single_points(target_map, rng):
+    x = rng.uniform(-0.5, 0.5, (30, 2))
+    ds = target_map.DS(x)
+    curl, grad = target_map.curl_S(x), target_map.grad_norm_sq(x)
+    assert ds.shape == (30, 2, 2) and curl.shape == (30,) and grad.shape == (30, 2)
+    for i in range(len(x)):
+        assert np.array_equal(ds[i], target_map.DS(x[i]))
+        assert curl[i] == target_map.curl_S(x[i])
+        assert np.array_equal(grad[i], target_map.grad_norm_sq(x[i]))
+    grid_shaped = x.reshape(5, 6, 2)
+    assert np.array_equal(target_map.DS(grid_shaped), ds.reshape(5, 6, 2, 2))
+
+
+def test_single_point_jac_S_rejected_for_a_batch():
+    m = TargetMap(name="single", T=dilation(0.2).T,
+                  jac_S=lambda x: 0.2 * np.eye(2))
+    assert np.array_equal(m.DS(np.zeros(2)), 0.2 * np.eye(2))
+    with pytest.raises(ValueError):
+        m.DS(np.zeros((4, 2)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridlens.geometry import FDStencil, fd_gradient, fd_hessian
-from hybridlens.surfaces import flat, from_design, from_grid, polynomial
+from hybridlens.surfaces import Surface, flat, from_design, from_grid, polynomial
 
 
 def test_flat_surface():
@@ -67,18 +67,43 @@ def test_from_grid_flat():
     assert s.height(np.array([0.123, -0.456])) == pytest.approx(0.3, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["flat", "polynomial", "spline"])
-def test_batch_matches_single_points(kind, dilation_design, rng):
-    s = {
+def builtin_surface(kind, dilation_design):
+    return {
         "flat": flat(0.4),
         "polynomial": polynomial({(0, 0): 0.5, (2, 0): 0.3, (1, 1): 0.1,
-                                  (0, 2): -0.2}),
+                                  (0, 2): -0.2, (3, 1): 0.05}),
         "spline": from_design(dilation_design, order=5),
     }[kind]
+
+
+def assert_batch_matches_single_points(s, rng):
     x = rng.uniform(-0.6, 0.6, (50, 2))
-    h, g, nu = s.height(x), s.gradient(x), s.normal(x)
+    h, g, nu, hess = s.height(x), s.gradient(x), s.normal(x), s.hessian(x)
     assert h.shape == (50,) and g.shape == (50, 2) and nu.shape == (50, 3)
+    assert hess.shape == (50, 2, 2)
     for i in range(len(x)):
         assert h[i] == s.height(x[i])
         assert np.array_equal(g[i], s.gradient(x[i]))
         assert np.array_equal(nu[i], s.normal(x[i]))
+        assert np.array_equal(hess[i], s.hessian(x[i]))
+    assert np.array_equal(s.hessian(x.reshape(5, 10, 2)), hess.reshape(5, 10, 2, 2))
+
+
+@pytest.mark.parametrize("kind", ["flat", "polynomial", "spline"])
+def test_batch_matches_single_points(kind, dilation_design, rng):
+    assert_batch_matches_single_points(builtin_surface(kind, dilation_design), rng)
+
+
+@pytest.mark.parametrize("kind", ["flat", "polynomial", "spline"])
+def test_user_surface_batch_matches_single_points(kind, dilation_design, rng):
+    # no grad and no hess: both by central differences of the value
+    s = Surface(name=f"user_{kind}", value=builtin_surface(kind, dilation_design).value)
+    assert_batch_matches_single_points(s, rng)
+
+
+def test_single_point_hess_rejected_for_a_batch():
+    s = Surface(name="single", value=flat(0.4).value,
+                hess=lambda x: np.zeros((2, 2)))
+    assert np.array_equal(s.hessian(np.zeros(2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        s.hessian(np.zeros((4, 2)))

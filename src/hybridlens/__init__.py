@@ -12,7 +12,6 @@ tracing.
 from .errors import (
     ConfigError,
     DerivativeUnavailable,
-    DomainViolation,
     FeasibilityViolation,
     HybridLensError,
     InvalidIncidence,

@@ -80,6 +80,11 @@ def cmd_check(args):
 def _trace_samples(grid, margin_cells=5, limit=1024):
     """Interior node subsample for verification tracing."""
     n1, n2 = grid.shape
+    if min(n1, n2) <= 2 * margin_cells:
+        raise ConfigError(
+            f"a {n1}x{n2} grid has no interior nodes to trace; use at least "
+            f"{2 * margin_cells + 1} nodes per axis"
+        )
     ii = np.arange(margin_cells, n1 - margin_cells)
     jj = np.arange(margin_cells, n2 - margin_cells)
     stride = max(1, int(np.ceil(np.sqrt(ii.size * jj.size / limit))))
@@ -192,8 +197,11 @@ def cmd_design_farfield(args):
 
 
 def cmd_trace(args):
-    design = io.load_design(args.design)
-    phase = io.load_phase(args.design, design.grid.shape)
+    try:
+        design = io.load_design(args.design)
+        phase = io.load_phase(args.design, design.grid.shape)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"design artifact not found: {exc.filename}") from exc
     lens = raytrace.TraceableLens.from_design(design, phase)
     from .fields import vertical
 

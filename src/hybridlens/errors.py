@@ -5,10 +5,6 @@ class HybridLensError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainViolation(HybridLensError):
-    """A finite-difference stencil or evaluation point left the allowed domain."""
-
-
 class InvalidIncidence(HybridLensError):
     """Incident direction points away from the refracting side (x . nu < 0)."""
 

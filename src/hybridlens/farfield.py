@@ -22,7 +22,6 @@ from .geometry import (
     FDStencil,
     Grid2D,
     batch_eval,
-    fd_gradient,
     fd_hessian,
     fd_jacobian,
     outer,
@@ -191,7 +190,9 @@ def sufficient_det_general(field, surface, constants, x0, fd_step=1e-4,
       - kappa1 rho (D(m De) - De (x) Dm) + kappa1 d Dm (x) Dm
     with every derivative analytic when available, nested central
     differences otherwise (the D(m De) term is third-derivative
-    territory and sets the noise budget for the tolerance).
+    territory and sets the noise budget for the tolerance).  Rays are
+    traced in three batches: x0, the Jacobian's stencil of (rho, m,
+    m De) and the Hessian's stencil of rho.
     """
     k1 = constants.kappa1
     x0 = np.asarray(x0, dtype=float)
@@ -206,20 +207,21 @@ def sufficient_det_general(field, surface, constants, x0, fd_step=1e-4,
     else:
         d2h = fd_hessian(field.potential, x0, stencil)
 
-    trace = lambda x: ray_to_metasurface(field, surface, constants, x)
+    def trace(x):
+        return ray_to_metasurface(field, surface, constants, x)
+
+    def rho_m_mde(x):
+        rho, m, _, _ = trace(x)
+        mde = (m[..., None, :] @ field.jacobian(x, stencil))[..., 0, :]
+        return np.concatenate([rho[..., None], m, mde], axis=-1)
+
     rho0, m0, d0, _ = trace(x0)
     e0 = field.direction(x0)
     de0 = field.jacobian(x0, stencil)
-
-    rho_f = lambda x: trace(x)[0]
-    m_f = lambda x: trace(x)[1]
-    mde_f = lambda x: m_f(x) @ field.jacobian(x, stencil)
-
-    drho = fd_gradient(rho_f, x0, stencil)
-    d2rho = fd_hessian(rho_f, x0, stencil)
-    dm = fd_jacobian(m_f, x0, stencil)
-    d_mde = fd_jacobian(mde_f, x0, stencil)
     mde0 = m0 @ de0
+    jac = fd_jacobian(rho_m_mde, x0, stencil)
+    drho, dm, d_mde = jac[0], jac[1:4], jac[4:]
+    d2rho = fd_hessian(lambda x: trace(x)[0], x0, stencil)
 
     matrix = (
         d2h

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation
 
 def cross2(a, b):
     """Scalar cross product a1*b2 - a2*b1 of 2-vectors (..., 2)."""
@@ -141,77 +140,59 @@ class FDStencil:
         """Steps (2,), or (..., 2) for per-point steps."""
         return np.stack(np.broadcast_arrays(self.h1, self.h2), axis=-1)
 
-    @property
-    def reach(self):
-        r = 1 if self.order == 2 else 2
-        return r * self.steps
+
+def _on_stencil(f, x, steps, offsets, tail):
+    """f at the points x + o * steps for every offset o (k, 2), given in
+    units of the steps (..., 2): one call on points (k, ..., 2), giving
+    values (k, ..., *tail)."""
+    o = np.reshape(offsets, (len(offsets),) + (1,) * (x.ndim - 1) + (2,))
+    return batch_eval(f, x + o * steps, tail, "f")
 
 
-def _check_domain(x, stencil, domain):
-    if domain is None:
-        return
-    lo, hi = np.asarray(domain[0], float), np.asarray(domain[1], float)
-    reach = stencil.reach
-    if np.any(x - reach < lo) or np.any(x + reach > hi):
-        raise DomainViolation(f"stencil around {x} leaves domain [{lo}, {hi}]")
-
-
-def fd_partial(f, x, axis, stencil, domain=None):
-    """Central-difference partial derivative along ``axis`` of a map f
-    from points (..., 2) to values (..., *tail), shaped like f(x).
-
-    f is called once per stencil offset, on the whole batch.
-    """
-    x = np.asarray(x, dtype=float)
-    _check_domain(x, stencil, domain)
-    h = stencil.steps[..., axis]
-    e = np.zeros(2)
-    e[axis] = 1.0
-    step = h[..., None] * e
-
-    def f_at(k):
-        return batch_eval(f, x + k * step, None, "f")
-
-    if stencil.order == 2:
-        diff, denom = f_at(1) - f_at(-1), 2 * h
-    else:
-        diff = 8 * (f_at(1) - f_at(-1)) - (f_at(2) - f_at(-2))
-        denom = 12 * h
-    return diff / denom.reshape(denom.shape + (1,) * (diff.ndim - denom.ndim))
-
-
-def fd_jacobian(f, x, stencil=None, domain=None):
+def fd_jacobian(f, x, stencil=None):
     """Derivative (..., *tail, 2) of a map from points (..., 2) to values
     (..., *tail) by central differences: the gradient (..., 2) of a
-    scalar map, the Jacobian (..., m, 2) of a map into R^m."""
+    scalar map, the Jacobian (..., m, 2) of a map into R^m.
+
+    f is called once, on every stencil point of every point of ``x``.
+    """
     x = np.asarray(x, dtype=float)
     stencil = stencil or FDStencil.for_point(x)
-    return np.stack([fd_partial(f, x, i, stencil, domain) for i in (0, 1)],
-                    axis=-1)
+    reach = (1,) if stencil.order == 2 else (1, 2)
+    offsets = [sign * r * np.eye(2)[axis]
+               for r in reach for sign in (1, -1) for axis in (0, 1)]
+    v = _on_stencil(f, x, stencil.steps, offsets, None)
+    v = v.reshape((len(reach), 2, 2) + v.shape[1:])  # reach, sign, axis
+    h = np.moveaxis(stencil.steps, -1, 0)
+    if stencil.order == 2:
+        diff, denom = v[0, 0] - v[0, 1], 2 * h
+    else:
+        diff = 8 * (v[0, 0] - v[0, 1]) - (v[1, 0] - v[1, 1])
+        denom = 12 * h
+    denom = denom.reshape(denom.shape + (1,) * (diff.ndim - denom.ndim))
+    # stacked, not a moved-axis view: numpy's matmul rounds a strided
+    # operand differently from a contiguous one
+    return np.stack(tuple(diff / denom), axis=-1)
 
 
 # The gradient of a scalar map is its Jacobian under the batch contract.
 fd_gradient = fd_jacobian
 
+_HESSIAN_OFFSETS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+                    (1, 1), (1, -1), (-1, 1), (-1, -1)]
 
-def fd_hessian(f, x, stencil=None, domain=None):
+
+def fd_hessian(f, x, stencil=None):
     """Symmetric Hessian (..., 2, 2) of a scalar map on a 9-point stencil,
-    calling f once per stencil point on the whole batch."""
+    calling f once, on every stencil point of every point of ``x``."""
     x = np.asarray(x, dtype=float)
     stencil = stencil or FDStencil.for_point(x)
-    _check_domain(x, stencil, domain)
     h1, h2 = stencil.steps[..., 0], stencil.steps[..., 1]
-    e1 = h1[..., None] * np.array([1.0, 0.0])
-    e2 = h2[..., None] * np.array([0.0, 1.0])
-
-    def f_at(p):
-        return batch_eval(f, p, (), "f")
-
-    f00 = f_at(x)
-    d11 = (f_at(x + e1) - 2 * f00 + f_at(x - e1)) / h1**2
-    d22 = (f_at(x + e2) - 2 * f00 + f_at(x - e2)) / h2**2
-    d12 = (f_at(x + e1 + e2) - f_at(x + e1 - e2) - f_at(x - e1 + e2)
-           + f_at(x - e1 - e2)) / (4 * h1 * h2)
+    f00, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = _on_stencil(
+        f, x, stencil.steps, _HESSIAN_OFFSETS, ())
+    d11 = (fp0 - 2 * f00 + fm0) / h1**2
+    d22 = (f0p - 2 * f00 + f0m) / h2**2
+    d12 = (fpp - fpm - fmp + fmm) / (4 * h1 * h2)
     return mat2(d11, d12, d12, d22)
 
 

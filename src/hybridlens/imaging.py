@@ -294,11 +294,7 @@ def existence_verdict(design, x0=None, tol=1e-9):
     Requires det(I + DS) != 0 and an invertible D^2 rho: at a fixed point
     det DS != 0; otherwise zeta != (|S|^2/z0^2) varphi and zeta_perp != 0.
     """
-    if x0 is None:
-        x0, z0 = design.x0, design.z0
-    else:
-        i, j = design.grid.nearest_index(x0)
-        x0, z0 = design.node_state(i, j)
+    x0, z0 = _state_at(design, x0, None)
     k1 = design.constants.kappa1
     s = design.target_map.S(np.asarray(x0, dtype=float))
     ds = design.target_map.DS(np.asarray(x0, dtype=float))

@@ -74,6 +74,14 @@ def _rowdot(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
+def _dots(x, nu):
+    """Floats x . nu and x . x of two 3-vectors, summed in ``_rowdot``'s
+    order so that a single ray refracts exactly like its row in a batch."""
+    x1, x2, x3 = x.tolist()
+    n1, n2, n3 = nu.tolist()
+    return x1 * n1 + x2 * n2 + x3 * n3, x1 * x1 + x2 * x2 + x3 * x3
+
+
 def _first(bad):
     return int(np.flatnonzero(bad)[0])
 
@@ -142,12 +150,12 @@ def refract_standard(x, nu, kappa):
     nu = np.asarray(nu, dtype=float)
     if x.ndim != 1 or nu.ndim != 1:
         return _standard_rows(x, nu, kappa)
-    xdn = float(np.dot(x, nu))
+    xdn, xx = _dots(x, nu)
     if xdn < 0.0:
         raise InvalidIncidence(f"x . nu = {xdn} < 0; orient nu toward medium II")
     # same arithmetic as the metasurface branch with grad_phi = 0, so the
     # two laws coincide exactly (not just to roundoff) in that limit
-    disc = kappa * kappa - float(np.dot(x, x)) + xdn * xdn
+    disc = kappa * kappa - xx + xdn * xdn
     if kappa < 1.0 and disc < DISCRIMINANT_TOL:
         raise TotalInternalReflection(
             f"x . nu = {xdn} < sqrt(1 - kappa^2) = {math.sqrt(1 - kappa**2)}"
@@ -179,15 +187,15 @@ def refract_metasurface(x, nu, kappa, grad_phi, k):
     xs = x - np.asarray(grad_phi, dtype=float) / k
     if xs.ndim != 1 or nu.ndim != 1:
         return _metasurface_rows(xs, nu, kappa)
-    xsdn = float(np.dot(xs, nu))
+    xsdn, xsxs = _dots(xs, nu)
     if xsdn < 0.0:
         raise InvalidIncidence(
             f"(x - grad_phi/k) . nu = {xsdn} < 0; orient nu toward the outgoing medium"
         )
-    disc = kappa * kappa - float(np.dot(xs, xs)) + xsdn * xsdn
+    disc = kappa * kappa - xsxs + xsdn * xsdn
     if disc < -DISCRIMINANT_TOL:
         raise MetaTotalInternalReflection(
-            f"feasibility bracket fails: {xsdn**2} < {np.dot(xs, xs) - kappa**2}"
+            f"feasibility bracket fails: {xsdn**2} < {xsxs - kappa**2}"
         )
     mu = xsdn - math.sqrt(max(disc, 0.0))
     m = (xs - mu * nu) / kappa

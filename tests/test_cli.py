@@ -127,6 +127,34 @@ def test_grid_override(dilation_cfg, tmp_path):
     assert meta["grid"]["shape"] == [21, 21]
 
 
+@pytest.mark.parametrize("command", ["design-imaging", "design-farfield"])
+def test_grid_too_small_to_trace_exit_2(command, dilation_cfg, tmp_path, capsys):
+    cfg = dilation_cfg if command == "design-imaging" else write_config(
+        tmp_path,
+        "point.json",
+        {
+            "constants": CONSTANTS,
+            "field": {"name": "point_source",
+                      "params": {"source": [0.0, 0.0, -5.0]}},
+            "surface": {"name": "polynomial",
+                        "params": {"coeffs": [[0.5, 0, 0.3], [0, 0, 0],
+                                              [0.3, 0, 0]]}},
+            "grid": {"box": [[-0.5, 0.5], [-0.5, 0.5]], "n": 41},
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    assert main([command, "--config", cfg, "--grid", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at least 11 nodes per axis" in err
+    assert main([command, "--config", cfg, "--grid", "11"]) == 0
+
+
+def test_trace_missing_design_exit_2(tmp_path, capsys):
+    assert main(["trace", "--design", str(tmp_path / "nope")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "design.json" in err
+
+
 def test_plot2d_curves(tmp_path):
     cfg = write_config(
         tmp_path,

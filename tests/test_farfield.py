@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from hybridlens import farfield
 from hybridlens.errors import (
     DerivativeUnavailable,
     MissedSurface,
@@ -222,6 +224,25 @@ class TestSufficientDets:
         report = sufficient_det_general(field, QUAD, constants,
                                         np.array([0.05, 0.0]))
         assert math.isfinite(report.margins["det"])
+
+    @pytest.mark.parametrize("field", [
+        vertical(),
+        point_source((0.0, 0.0, -5.0)),
+        dataclasses.replace(point_source((0.0, 0.0, -5.0)), jac=None,
+                            hess_potential=None),
+    ], ids=["vertical", "point_source", "point_source_fd"])
+    def test_general_traces_its_stencil_in_three_batches(self, constants,
+                                                         field, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return intersect_ray(*args, **kwargs)
+
+        monkeypatch.setattr(farfield, "intersect_ray", counting)
+        sufficient_det_general(field, QUAD, constants, np.array([0.05, 0.0]))
+        # the anchor, then the Jacobian's 8 and the Hessian's 9 points
+        assert calls == [(2,), (8, 2), (9, 2)]
 
     def test_general_needs_potential(self, constants):
         bare = IncidentField("bare", lambda x: np.array([0.0, 0.0, 1.0]))

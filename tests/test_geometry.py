@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridlens.errors import DomainViolation
 from hybridlens.geometry import (
     FDStencil,
     Grid2D,
@@ -12,7 +11,6 @@ from hybridlens.geometry import (
     fd_gradient,
     fd_hessian,
     fd_jacobian,
-    fd_partial,
     outer,
     perp,
     staircase,
@@ -65,14 +63,14 @@ def test_sym_eig_2x2_diagonalizes(entries):
 
 
 def test_fd_gradient_quadratic_exact():
-    f = lambda x: 2.0 * x[0] ** 2 + 3.0 * x[0] * x[1] - x[1] ** 2
+    f = lambda x: 2.0 * x[..., 0] ** 2 + 3.0 * x[..., 0] * x[..., 1] - x[..., 1] ** 2
     x = np.array([0.4, -0.2])
     g = fd_gradient(f, x, FDStencil(1e-5, 1e-5))
     assert np.allclose(g, [4 * x[0] + 3 * x[1], 3 * x[0] - 2 * x[1]], atol=1e-9)
 
 
 def test_fd_order4_beats_order2():
-    f = lambda x: np.sin(3.0 * x[0]) * np.exp(x[1])
+    f = lambda x: np.sin(3.0 * x[..., 0]) * np.exp(x[..., 1])
     x = np.array([0.3, 0.1])
     exact = 3.0 * np.cos(3.0 * x[0]) * np.exp(x[1])
     e2 = abs(fd_gradient(f, x, FDStencil(1e-3, 1e-3, order=2))[0] - exact)
@@ -81,7 +79,7 @@ def test_fd_order4_beats_order2():
 
 
 def test_fd_jacobian_and_curl():
-    f = lambda x: np.array([x[1] ** 2, np.sin(x[0])])
+    f = lambda x: np.stack([x[..., 1] ** 2, np.sin(x[..., 0])], axis=-1)
     x = np.array([0.5, 0.25])
     j = fd_jacobian(f, x, FDStencil(1e-5, 1e-5))
     assert np.allclose(j, [[0.0, 2 * x[1]], [np.cos(x[0]), 0.0]], atol=1e-9)
@@ -104,8 +102,7 @@ def vector_map(x):
 def test_fd_batch_matches_single_points(stencil, rng):
     x = rng.uniform(-2.0, 2.0, (40, 2))  # per-point steps differ here
     cases = [
-        (lambda p: fd_partial(vector_map, p, 1, stencil or FDStencil.for_point(p)),
-         (40, 3)),
+        (lambda p: fd_jacobian(vector_map, p, stencil)[..., 1], (40, 3)),
         (lambda p: fd_gradient(scalar_map, p, stencil), (40, 2)),
         (lambda p: fd_jacobian(vector_map, p, stencil), (40, 3, 2)),
         (lambda p: fd_hessian(scalar_map, p, stencil), (40, 2, 2)),
@@ -119,43 +116,82 @@ def test_fd_batch_matches_single_points(stencil, rng):
                               batch.reshape((4, 10) + shape[1:]))
 
 
-def test_fd_calls_f_once_per_stencil_offset():
+def test_fd_calls_f_once_on_the_whole_stencil():
     shapes = []
 
     def f(x):
         shapes.append(x.shape)
         return scalar_map(x)
 
-    x = np.zeros((25, 2))
-    fd_jacobian(f, x, FDStencil(1e-3, 1e-3, order=4))
-    fd_hessian(f, x, FDStencil(1e-3, 1e-3))
-    assert shapes == [(25, 2)] * (8 + 9)
+    for x in (np.zeros(2), np.zeros((25, 2))):
+        shapes.clear()
+        fd_jacobian(f, x, FDStencil(1e-3, 1e-3))
+        fd_jacobian(f, x, FDStencil(1e-3, 1e-3, order=4))
+        fd_hessian(f, x, FDStencil(1e-3, 1e-3))
+        assert shapes == [(4,) + x.shape, (8,) + x.shape, (9,) + x.shape]
+
+
+def pointwise(f, x, h, offset):
+    """f at x + offset * h, evaluated one point at a time."""
+    pts = x + np.asarray(offset, dtype=float) * h
+    vals = [f(p) for p in pts.reshape(-1, 2)]
+    return np.reshape(vals, pts.shape[:-1] + np.shape(vals[0]))
+
+
+def reference_jacobian(f, x, stencil):
+    """The central differences of ``fd_jacobian``, term for term."""
+    cols = []
+    for axis in (0, 1):
+        e, h = np.eye(2)[axis], stencil.steps[..., axis]
+        at = lambda k: pointwise(f, x, stencil.steps, k * e)
+        if stencil.order == 2:
+            diff, denom = at(1) - at(-1), 2 * h
+        else:
+            diff, denom = 8 * (at(1) - at(-1)) - (at(2) - at(-2)), 12 * h
+        denom = np.reshape(denom, denom.shape + (1,) * (diff.ndim - denom.ndim))
+        cols.append(diff / denom)
+    return np.stack(cols, axis=-1)
+
+
+def reference_hessian(f, x, stencil):
+    """The 9-point differences of ``fd_hessian``, term for term."""
+    h1, h2 = stencil.steps[..., 0], stencil.steps[..., 1]
+    at = lambda o1, o2: pointwise(f, x, stencil.steps, (o1, o2))
+    d11 = (at(1, 0) - 2 * at(0, 0) + at(-1, 0)) / h1**2
+    d22 = (at(0, 1) - 2 * at(0, 0) + at(0, -1)) / h2**2
+    d12 = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h1 * h2)
+    return np.stack([np.stack([d11, d12], -1), np.stack([d12, d22], -1)], -2)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("steps", ["per-point", "fixed"])
+@pytest.mark.parametrize("n", [None, 30], ids=["one-point", "batch"])
+def test_fd_one_call_equals_pointwise_differences(order, steps, n, rng):
+    x = rng.uniform(-2.0, 2.0, (n or 1, 2))  # per-point steps differ here
+    x = x if n else x[0]
+    stencil = (FDStencil.for_point(x, order=order) if steps == "per-point"
+               else FDStencil(1e-3, 2e-3, order=order))
+    for f in (scalar_map, vector_map):
+        assert np.array_equal(fd_jacobian(f, x, stencil),
+                              reference_jacobian(f, x, stencil))
+    assert np.array_equal(fd_hessian(scalar_map, x, stencil),
+                          reference_hessian(scalar_map, x, stencil))
 
 
 def test_fd_rejects_a_single_point_callback():
     f = lambda x: x[0] ** 2 - x[1]  # indexes one point, not a batch
-    assert fd_gradient(f, np.array([1.0, 2.0]), FDStencil(1e-3, 1e-3)).shape == (2,)
-    for fd in (fd_gradient, fd_jacobian, fd_hessian):
-        with pytest.raises(ValueError):
-            fd(f, np.zeros((5, 2)), FDStencil(1e-3, 1e-3))
+    # even one point is a batch: its stencil points go to f in one call
+    for x in (np.array([1.0, 2.0]), np.zeros((5, 2))):
+        for fd in (fd_gradient, fd_jacobian, fd_hessian):
+            with pytest.raises(ValueError):
+                fd(f, x, FDStencil(1e-3, 1e-3))
 
 
 def test_fd_hessian_symmetric_and_exact_for_quadratics():
-    f = lambda x: x[0] ** 2 - 4.0 * x[0] * x[1] + 2.5 * x[1] ** 2
+    f = lambda x: x[..., 0] ** 2 - 4.0 * x[..., 0] * x[..., 1] + 2.5 * x[..., 1] ** 2
     h = fd_hessian(f, np.array([1.0, 2.0]), FDStencil(1e-4, 1e-4))
     assert np.allclose(h, h.T)
     assert np.allclose(h, [[2.0, -4.0], [-4.0, 5.0]], atol=1e-6)
-
-
-def test_fd_domain_violation():
-    domain = ((-1.0, -1.0), (1.0, 1.0))
-    with pytest.raises(DomainViolation):
-        fd_gradient(lambda x: x[0], np.array([1.0, 0.0]),
-                    FDStencil(1e-3, 1e-3), domain=domain)
-    # interior points with full stencil clearance are fine
-    g = fd_gradient(lambda x: x[0], np.array([0.5, 0.0]),
-                    FDStencil(1e-3, 1e-3), domain=domain)
-    assert g[0] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestGrid2D:

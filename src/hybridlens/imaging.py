@@ -85,11 +85,12 @@ def _check_feasible(s, z, kappa1, a):
     s = np.atleast_2d(s)
     z = np.atleast_1d(z)
     slack = FEASIBILITY_SLACK * max(a, 1.0)
-    lower = np.linalg.norm(s, axis=-1) / math.sqrt(kappa1**2 - 1.0)
-    bad_hi = z >= a - slack
-    bad_lo = z <= lower + slack
-    if np.any(bad_hi) or np.any(bad_lo):
-        idx = int(np.argmax(bad_hi | bad_lo))
+    # |S| as np.linalg.norm(s, axis=-1) computes it, in fewer numpy calls
+    sq = s * s
+    lower = np.sqrt(sq[..., 0] + sq[..., 1]) / math.sqrt(kappa1**2 - 1.0)
+    bad = (z >= a - slack) | (z <= lower + slack)
+    if bad.any():
+        idx = int(np.argmax(bad))
         raise FeasibilityViolation(
             f"z = {z[idx]:.6g} outside ({lower[idx]:.6g}, {a:.6g}) "
             "(slab inequality violated)"
@@ -109,8 +110,9 @@ def rhs_V(x, z, target_map, kappa1, a=None):
     if a is not None:
         _check_feasible(s, z, kappa1, a)
     ratio = s / z[..., None]
-    y = np.sum(ratio * ratio, axis=-1)
-    if np.any(y >= (kappa1**2 - 1.0) * (1.0 - FEASIBILITY_SLACK)):
+    r2 = ratio * ratio
+    y = r2[..., 0] + r2[..., 1]
+    if (y >= (kappa1**2 - 1.0) * (1.0 - FEASIBILITY_SLACK)).any():
         raise FeasibilityViolation(
             f"|S/z|^2 = {float(np.max(y)):.6g} reaches kappa1^2 - 1 "
             f"= {kappa1**2 - 1.0:.6g}"

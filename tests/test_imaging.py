@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridlens.errors import FeasibilityViolation, PathInconsistency
+from hybridlens import imaging
+from hybridlens.errors import (
+    FeasibilityViolation,
+    PathInconsistency,
+    QuadratureError,
+)
 from hybridlens.geometry import FDStencil, Grid2D, fd_hessian
 from hybridlens.imaging import (
     VarphiProfile,
@@ -122,6 +127,17 @@ class TestSolveRho:
         grid = Grid2D.from_box(((-0.2, 0.2), (-0.2, 0.2)), 21)
         with pytest.raises(FeasibilityViolation):
             solve_rho(dilation(0.2), constants, grid, (0.0, 0.0), z0=1.5)
+
+    @pytest.mark.parametrize("alpha, message", [
+        (0.9, "z = 1.00141 outside (0.394442, 1) (slab inequality violated)"),
+        (1.5, "z = 1.01113 outside (0.493053, 1) (slab inequality violated)"),
+    ])
+    def test_march_leaving_the_slab_raises(self, constants, alpha, message):
+        # the anchor is feasible; the march crosses z = a part way out
+        grid = Grid2D.from_box(((-0.7, 0.7), (-0.7, 0.7)), 41)
+        with pytest.raises(FeasibilityViolation) as info:
+            solve_rho(dilation(alpha), constants, grid, (0.0, 0.0))
+        assert str(info.value) == message
 
     def test_rotation_map_breaks_path_independence(self, constants):
         grid = Grid2D.from_box(((-0.3, 0.3), (-0.3, 0.3)), 41)
@@ -244,6 +260,11 @@ class Test2D:
         zm = explicit_dilation_2d(0.3, 1.5, 100.0, 70.0, -0.7)
         assert zp == zm
         assert explicit_dilation_2d(0.3, 1.5, 100.0, 70.0, 0.0) == 70.0
+
+    def test_explicit_profile_rejects_a_loose_quadrature(self, monkeypatch):
+        monkeypatch.setattr(imaging, "quad", lambda f, lo, hi, **kw: (0.0, 1.0))
+        with pytest.raises(QuadratureError, match="error estimate 1.000e"):
+            explicit_dilation_2d(0.3, 1.5, 100.0, 70.0, 0.7)
 
     def test_infeasible_z0(self, constants100):
         with pytest.raises(FeasibilityViolation):

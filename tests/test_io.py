@@ -20,7 +20,54 @@ def test_csv_round_trip_bit_stable(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("csv") / "col.csv"
     io.write_csv(path, ["v"], [np.array(values)])
     _, cols = io.read_csv(path)
-    assert np.array_equal(cols["v"], np.array(values))
+    # compare bits: array_equal counts -0.0 == 0.0 and misses a lost sign
+    assert np.array_equal(cols["v"].view(np.int64),
+                          np.array(values).view(np.int64))
+
+
+def _assert_bytes_equal_savetxt(tmp, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    io.write_csv(tmp / "ours.csv", header, columns)
+    np.savetxt(tmp / "savetxt.csv", np.column_stack(columns), fmt="%.17g",
+               delimiter=",", header=",".join(header), comments="")
+    assert (tmp / "ours.csv").read_bytes() == (tmp / "savetxt.csv").read_bytes()
+
+
+WRITER_CASES = {
+    "signed zeros": [np.array([0.0, -0.0, 0.0, -0.0, 1.0])],
+    "nan and infinities": [np.array([np.nan, np.inf, -np.inf, np.nan, 2.5])],
+    "subnormals": [np.array([5e-324, -5e-324, 5e-324, 0.0,
+                             2.2250738585072014e-308])],
+    "repeats": [np.repeat(np.linspace(-0.7, 0.7, 7), 7),
+                np.tile(np.linspace(-0.7, 0.7, 7), 7),
+                np.arange(49.0) / 3.0],
+    "one row": [np.array([1.0 / 3.0]), np.array([-0.0]), np.array([np.pi])],
+    "no rows": [np.array([]), np.array([])],
+}
+
+
+@pytest.mark.parametrize("columns", WRITER_CASES.values(), ids=WRITER_CASES)
+def test_write_csv_bytes_equal_savetxt(tmp_path, columns):
+    _assert_bytes_equal_savetxt(tmp_path, columns)
+
+
+POOL = [0.0, -0.0, 1.0, -1.0, 1.0 / 3.0, 0.1, np.nan, np.inf, -np.inf,
+        5e-324, 1e308]
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda width: st.lists(
+            st.lists(st.sampled_from(POOL), min_size=width, max_size=width),
+            min_size=1,
+            max_size=40,
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_write_csv_with_repeats_bytes_equal_savetxt(tmp_path_factory, rows):
+    _assert_bytes_equal_savetxt(tmp_path_factory.mktemp("pool"),
+                                [np.array(col) for col in zip(*rows)])
 
 
 def test_fmt_17_significant_digits(tmp_path):

@@ -13,7 +13,8 @@ import numpy as np
 from . import farfield, imaging, io, raytrace
 from .config import DesignConfig
 from .errors import ConfigError, HybridLensError
-from .fields import curl_condition, recover_potential
+from .fields import curl_condition, recover_potential, vertical
+from .geometry import Grid2D
 from .maps import admissibility
 from .reports import combine
 from .surfaces import from_design
@@ -21,6 +22,11 @@ from .surfaces import from_design
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_CONFIG = 2
+
+#: Verification traces skip this many cells at each edge of the grid
+#: and take at most this many interior nodes.
+TRACE_MARGIN = 5
+TRACE_RAYS = 1024
 
 
 def _out_dir(args, cfg):
@@ -32,29 +38,31 @@ def _out_dir(args, cfg):
 def _load_config(args):
     cfg = DesignConfig.from_file(args.config)
     if args.grid is not None and cfg.grid is not None:
-        (b1, b2) = cfg.grid.box
-        from .geometry import Grid2D
-
-        cfg.grid = Grid2D.from_box((b1, b2), args.grid)
+        cfg.grid = Grid2D.from_box(cfg.grid.box, args.grid)
     return cfg
+
+
+def _x0(cfg):
+    """The configured design anchor, else the centre of the grid."""
+    return cfg.x0 if cfg.x0 is not None else np.array(
+        [np.mean(cfg.grid.x1), np.mean(cfg.grid.x2)])
 
 
 def _mode(args):
     return "fd_phase" if args.gradient_mode == "fd" else args.gradient_mode
 
 
-def _run_checks(cfg, tol_override=None):
+def _run_checks(cfg):
+    """The checks of the config's map and field, whichever it has."""
     reports = []
-    tols = dict(cfg.tolerances)
-    if tol_override is not None:
-        tols = {k: tol_override for k in tols}
-        tols["thickness"] = cfg.tolerances["thickness"]
-    if cfg.target_map is not None and cfg.grid is not None:
+    tols = cfg.tolerances
+    if cfg.target_map is not None:
+        cfg.require_lens()
         reports.append(admissibility(cfg.target_map, cfg.grid, tols["admissibility"]))
         reports.append(
             imaging.thickness_check(cfg.target_map, cfg.constants, cfg.grid)
         )
-    if cfg.incident_field is not None and cfg.grid is not None:
+    if cfg.incident_field is not None:
         reports.append(curl_condition(cfg.incident_field, cfg.grid, tols["curl"]))
     return reports
 
@@ -65,7 +73,9 @@ def cmd_check(args):
         raise ConfigError("check requires a 'grid' section")
     if cfg.target_map is None and cfg.incident_field is None:
         raise ConfigError("check requires a 'map' or 'field' section")
-    reports = _run_checks(cfg, args.tol)
+    if args.tol is not None:
+        cfg.tolerances.update(admissibility=args.tol, curl=args.tol)
+    reports = _run_checks(cfg)
     summary = combine("check", reports)
     out = _out_dir(args, cfg)
     io.write_json(
@@ -77,17 +87,17 @@ def cmd_check(args):
     return EXIT_OK if summary.passed else EXIT_DOMAIN
 
 
-def _trace_samples(grid, margin_cells=5, limit=1024):
+def _trace_samples(grid):
     """Interior node subsample for verification tracing."""
     n1, n2 = grid.shape
-    if min(n1, n2) <= 2 * margin_cells:
+    if min(n1, n2) <= 2 * TRACE_MARGIN:
         raise ConfigError(
             f"a {n1}x{n2} grid has no interior nodes to trace; use at least "
-            f"{2 * margin_cells + 1} nodes per axis"
+            f"{2 * TRACE_MARGIN + 1} nodes per axis"
         )
-    ii = np.arange(margin_cells, n1 - margin_cells)
-    jj = np.arange(margin_cells, n2 - margin_cells)
-    stride = max(1, int(np.ceil(np.sqrt(ii.size * jj.size / limit))))
+    ii = np.arange(TRACE_MARGIN, n1 - TRACE_MARGIN)
+    jj = np.arange(TRACE_MARGIN, n2 - TRACE_MARGIN)
+    stride = max(1, int(np.ceil(np.sqrt(ii.size * jj.size / TRACE_RAYS))))
     i, j = np.meshgrid(ii[::stride], jj[::stride], indexing="ij")
     return np.column_stack([grid.x1[i.ravel()], grid.x2[j.ravel()]])
 
@@ -104,11 +114,8 @@ def cmd_design_imaging(args):
               file=sys.stderr)
         return EXIT_DOMAIN
 
-    x0 = cfg.x0 if cfg.x0 is not None else np.array(
-        [np.mean(cfg.grid.x1), np.mean(cfg.grid.x2)]
-    )
     design = imaging.solve_rho(
-        cfg.target_map, cfg.constants, cfg.grid, x0, cfg.z0
+        cfg.target_map, cfg.constants, cfg.grid, _x0(cfg), cfg.z0
     )
     verdict = imaging.existence_verdict(design, tol=cfg.tolerances["verdict"])
     mid = farfield.midfield_vertical(
@@ -117,8 +124,6 @@ def cmd_design_imaging(args):
     det_check = farfield.sufficient_det_vertical(
         from_design(design), cfg.constants, design.x0
     )
-    from .fields import vertical
-
     phase = farfield.build_phase(
         vertical(), mid, cfg.constants, check_condition=det_check
     )
@@ -150,6 +155,7 @@ def cmd_design_imaging(args):
 def cmd_design_farfield(args):
     cfg = _load_config(args)
     cfg.require("field", "surface", "grid")
+    cfg.require_lens()
     curl = curl_condition(cfg.incident_field, cfg.grid, cfg.tolerances["curl"])
     if not curl.passed and not args.force:
         out = _out_dir(args, cfg)
@@ -157,9 +163,7 @@ def cmd_design_farfield(args):
         print("curl condition failed; rerun with --force to proceed",
               file=sys.stderr)
         return EXIT_DOMAIN
-    x0 = cfg.x0 if cfg.x0 is not None else np.array(
-        [np.mean(cfg.grid.x1), np.mean(cfg.grid.x2)]
-    )
+    x0 = _x0(cfg)
     mid = farfield.midfield_general(
         cfg.incident_field, cfg.surface, cfg.constants, cfg.grid
     )
@@ -203,15 +207,8 @@ def cmd_trace(args):
     except FileNotFoundError as exc:
         raise ConfigError(f"design artifact not found: {exc.filename}") from exc
     lens = raytrace.TraceableLens.from_design(design, phase)
-    from .fields import vertical
-
-    n = args.grid or 0
-    if n > 0:
-        samples = _trace_samples(design.grid, limit=n * n)
-    else:
-        samples = _trace_samples(design.grid)
     report = raytrace.trace_through(
-        lens, vertical(), design.constants, samples,
+        lens, vertical(), design.constants, _trace_samples(design.grid),
         gradient_mode=_mode(args),
     )
     out = Path(args.out or args.design)
@@ -221,7 +218,8 @@ def cmd_trace(args):
 
 
 def cmd_plot2d(args):
-    cfg = _load_config(args)
+    cfg = DesignConfig.from_file(args.config)
+    cfg.require_lens()
     if cfg.alphas is None:
         raise ConfigError("plot2d requires an 'alphas' list")
     if cfg.z0 is None:
@@ -249,8 +247,10 @@ def cmd_plot2d(args):
 
 
 def cmd_lemma_check(args):
-    cfg = _load_config(args)
+    cfg = DesignConfig.from_file(args.config)
     kappa1 = cfg.constants.kappa1
+    if not kappa1 > 1.0:
+        raise ConfigError("lemma-check requires n2 > n1 (kappa1 > 1)")
     rng = np.random.default_rng(0)
     radius = 0.95 * np.sqrt(kappa1**2 - 1.0)
     worst = 0.0
@@ -272,39 +272,44 @@ def cmd_lemma_check(args):
     return EXIT_OK if worst <= tol else EXIT_DOMAIN
 
 
+#: Each flag of the CLI, and the flags each command reads.
+FLAGS = {
+    "--config": dict(required=True, help="JSON config path"),
+    "--design": dict(required=True, help="directory with design artifacts"),
+    "--out": dict(default=None, help="output directory"),
+    "--grid": dict(type=int, default=None,
+                   help="override the grid's nodes per axis"),
+    "--tol": dict(type=float, default=None,
+                  help="override the tolerance of the checks"),
+    "--force": dict(action="store_true",
+                    help="proceed despite failed pre-checks"),
+    "--gradient-mode": dict(choices=["analytic", "fd"], default="fd",
+                            help="phase gradient for verification tracing: "
+                                 "finite differences of the interpolated "
+                                 "phase (default) or the stored gradient at "
+                                 "the nearest node"),
+}
+_DESIGN_FLAGS = ("--config", "--out", "--grid", "--force", "--gradient-mode")
+COMMANDS = {
+    "check": (cmd_check, ("--config", "--out", "--grid", "--tol")),
+    "design-imaging": (cmd_design_imaging, _DESIGN_FLAGS),
+    "design-farfield": (cmd_design_farfield, _DESIGN_FLAGS),
+    "trace": (cmd_trace, ("--design", "--out", "--gradient-mode")),
+    "plot2d": (cmd_plot2d, ("--config", "--out")),
+    "lemma-check": (cmd_lemma_check, ("--config", "--out", "--tol")),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hybridlens",
         description="Design and verify hybrid freeform/metasurface lenses",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "check": cmd_check,
-        "design-imaging": cmd_design_imaging,
-        "design-farfield": cmd_design_farfield,
-        "trace": cmd_trace,
-        "plot2d": cmd_plot2d,
-        "lemma-check": cmd_lemma_check,
-    }
-    for name, handler in commands.items():
+    for name, (handler, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        if name != "trace":
-            p.add_argument("--config", required=True, help="JSON config path")
-        else:
-            p.add_argument("--design", required=True,
-                           help="directory with design artifacts")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--grid", type=int, default=None,
-                       help="override grid resolution")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override check tolerances")
-        p.add_argument("--force", action="store_true",
-                       help="proceed despite failed pre-checks")
-        p.add_argument("--gradient-mode", choices=["analytic", "fd"],
-                       default="fd",
-                       help="phase gradient for verification tracing: finite "
-                            "differences of the interpolated phase (default) "
-                            "or the stored gradient at the nearest node")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(handler=handler)
     return parser
 

@@ -17,7 +17,6 @@ from . import fields as field_lib
 DEFAULT_TOLERANCES = {
     "admissibility": 1e-10,
     "curl": 1e-10,
-    "thickness": 0.0,
     "verdict": 1e-9,
 }
 
@@ -34,9 +33,18 @@ _TOP_KEYS = {
 
 
 def _reject_unknown(d, allowed, where):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _number(value, where):
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
 
 
 def _named_spec(d, where, registry):
@@ -50,7 +58,7 @@ def _named_spec(d, where, registry):
         raise ConfigError(f"{where}.params must be an object")
     try:
         return registry[name](params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params for {where} {name!r}: {exc}") from exc
 
 
@@ -110,25 +118,30 @@ class DesignConfig:
             x0 = raw["x0"]
             if not (isinstance(x0, (list, tuple)) and len(x0) == 2):
                 raise ConfigError("x0 must be a pair of numbers")
-            cfg.x0 = np.asarray(x0, dtype=float)
+            cfg.x0 = np.array([_number(v, "x0") for v in x0])
         if raw.get("z0") is not None:
-            cfg.z0 = float(raw["z0"])
+            cfg.z0 = _number(raw["z0"], "z0")
         if "tolerances" in raw:
             _reject_unknown(raw["tolerances"], DEFAULT_TOLERANCES, "tolerances")
             cfg.tolerances.update(
-                {k: float(v) for k, v in raw["tolerances"].items()}
+                {k: _number(v, f"tolerances.{k}")
+                 for k, v in raw["tolerances"].items()}
             )
         if "output_dir" in raw:
             cfg.output_dir = str(raw["output_dir"])
         if "alphas" in raw:
-            cfg.alphas = [float(v) for v in raw["alphas"]]
+            if not isinstance(raw["alphas"], list):
+                raise ConfigError("alphas must be a list of numbers")
+            cfg.alphas = [_number(v, "alphas") for v in raw["alphas"]]
         if "t_range" in raw:
             tr = raw["t_range"]
             if not (isinstance(tr, (list, tuple)) and len(tr) == 2):
                 raise ConfigError("t_range must be a pair [t_min, t_max]")
-            cfg.t_range = (float(tr[0]), float(tr[1]))
+            cfg.t_range = (_number(tr[0], "t_range"), _number(tr[1], "t_range"))
+            if not cfg.t_range[0] <= 0.0 <= cfg.t_range[1]:
+                raise ConfigError("t_range must contain 0")
         if "step" in raw:
-            cfg.step = float(raw["step"])
+            cfg.step = _number(raw["step"], "step")
         return cfg
 
     @staticmethod
@@ -146,3 +159,10 @@ class DesignConfig:
             attr = {"map": "target_map", "field": "incident_field"}.get(name, name)
             if getattr(self, attr) is None:
                 raise ConfigError(f"this command requires a '{name}' section")
+
+    def require_lens(self):
+        """Reject constants that describe no lens (n2 > n1, c > a > 0)."""
+        try:
+            self.constants.require_lens_geometry()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc

@@ -38,7 +38,7 @@ class NonPositiveDepth(HybridLensError):
 
 
 class DerivativeUnavailable(HybridLensError):
-    """A required analytic derivative is missing and FD fallback is disabled."""
+    """The field has no potential h where a computation needs one."""
 
 
 class SingularHessian(HybridLensError):

@@ -17,6 +17,7 @@ from .errors import (
     MissedSurface,
     NonInjectiveFootprint,
     NonPositiveDepth,
+    SingularHessian,
 )
 from .geometry import (
     FDStencil,
@@ -60,14 +61,14 @@ class PhaseMap:
     warnings: list = dc_field(default_factory=list)
 
 
-def intersect_ray(surface, x, e, a, tol_scale=1e-12):
+def intersect_ray(surface, x, e, a):
     """Path length t with t e3 = r(x + t e') on the lens lower face.
 
     ``x`` is a start point (2,) with direction ``e`` (3,), giving a float,
     or a batch (n, 2) with directions (n, 3) or (3,), giving (n,).  Each
     ray keeps its own bracket on [0, a/e3] and takes safeguarded Newton
     steps on g(t) = t e3 - r(x + t e'), bisecting whenever a step leaves
-    the bracket, until |dt| <= tol_scale * a; a ray stops as soon as it
+    the bracket, until |dt| <= 1e-12 a; a ray stops as soon as it
     converges, so its result does not depend on the rest of the batch.
     A vertical ray (e' = 0) needs no steps: t = r(x) / e3.
     The graph condition (nu3 > 0) makes the crossing unique in the patch.
@@ -100,7 +101,7 @@ def intersect_ray(surface, x, e, a, tol_scale=1e-12):
     t = np.where(vert, -g_lo / e3, 0.0)
     act = obl[g_lo[obl] != 0.0]
     t[act] = hi[act] * (g_lo[act] / (g_lo[act] - g_hi[act]))
-    tol = tol_scale * a
+    tol = 1e-12 * a
     for _ in range(100):  # bisection alone needs about 40
         if act.size == 0:
             break
@@ -180,8 +181,7 @@ def midfield_vertical(grid, rho, drho, constants):
     return MidField(grid=grid, m=m, d=d, Q=q, rho=rho, delta=delta)
 
 
-def sufficient_det_general(field, surface, constants, x0, fd_step=1e-4,
-                           tol=None):
+def sufficient_det_general(field, surface, constants, x0):
     """Second-order determinant deciding local existence of the phase.
 
     Assembles
@@ -200,7 +200,7 @@ def sufficient_det_general(field, surface, constants, x0, fd_step=1e-4,
         raise DerivativeUnavailable(
             "field has no potential h; run the curl test and supply one"
         )
-    stencil = FDStencil(fd_step, fd_step, order=4)
+    stencil = FDStencil(1e-4, 1e-4, order=4)
     if field.hess_potential is not None:
         d2h = batch_eval(field.hess_potential, x0, (2, 2),
                          f"field {field.name!r} hess_potential")
@@ -232,8 +232,7 @@ def sufficient_det_general(field, surface, constants, x0, fd_step=1e-4,
     )
     det = float(np.linalg.det(matrix))
     norm = float(np.linalg.norm(matrix))
-    if tol is None:
-        tol = 1e-6 * max(norm**2, 1e-300)
+    tol = 1e-6 * max(norm**2, 1e-300)
     return ConditionReport(
         name="sufficient_det_general",
         passed=abs(det) > tol,
@@ -252,7 +251,7 @@ def _vertical_terms(surface, constants, x0):
     return r, g, hess, delta, k1, a
 
 
-def sufficient_det_vertical(surface, constants, x0, tol=1e-12):
+def sufficient_det_vertical(surface, constants, x0):
     """Vertical-field reduction: det D^2 rho != 0 and the slab matrix
     I + ((kappa1^2-1)/kappa1^2) Drho (x) Drho
       + (a - rho)(1 - kappa1^2)/(kappa1^2 + Delta) D^2 rho
@@ -270,6 +269,7 @@ def sufficient_det_vertical(surface, constants, x0, tol=1e-12):
     w = np.eye(2) - ((k1**2 - 1.0) / delta**2) * outer(g, g)
     m_factor = ((1.0 - k1**2) / (1.0 + delta)) * (w @ mat_a)
     det_big = det_h * float(np.linalg.det(m_factor))
+    tol = 1e-12
     passed = abs(det_h) > tol and abs(det_a) > tol
     return ConditionReport(
         name="sufficient_det_vertical",
@@ -286,16 +286,14 @@ def sufficient_det_vertical(surface, constants, x0, tol=1e-12):
     )
 
 
-def eigenvalue_sufficient(surface, constants, x0, singular_tol=1e-12):
+def eigenvalue_sufficient(surface, constants, x0):
     """Eigenvalue bounds sufficient for the vertical-field determinant.
 
     Passing either strict inequality implies the determinant condition;
     failing both decides nothing (the bounds are sufficient only).
     """
-    from .errors import SingularHessian
-
     r, g, hess, delta, k1, a = _vertical_terms(surface, constants, x0)
-    if abs(np.linalg.det(hess)) <= singular_tol:
+    if abs(np.linalg.det(hess)) <= 1e-12:
         raise SingularHessian(f"det D^2 rho = {np.linalg.det(hess):.3e} at {tuple(x0)}")
     lam, _ = sym_eig_2x2(hess)
     lam1, lam2 = lam
@@ -318,7 +316,7 @@ def eigenvalue_sufficient(surface, constants, x0, singular_tol=1e-12):
     )
 
 
-def footprint_fold_check(midfield, tol=1e-10):
+def footprint_fold_check(midfield):
     """Detect self-overlap of the Q footprint via its grid Jacobian."""
     q = midfield.Q
     dq1 = (q[2:, 1:-1] - q[:-2, 1:-1]) / (2.0 * midfield.grid.spacing[0])
@@ -326,6 +324,7 @@ def footprint_fold_check(midfield, tol=1e-10):
     det = dq1[..., 0] * dq2[..., 1] - dq1[..., 1] * dq2[..., 0]
     if det.size == 0:
         return
+    tol = 1e-10
     scale = max(float(np.median(np.abs(det))), tol)
     if np.min(det) * np.max(det) <= 0.0 or np.min(np.abs(det)) < tol * scale:
         raise NonInjectiveFootprint(
@@ -334,8 +333,7 @@ def footprint_fold_check(midfield, tol=1e-10):
         )
 
 
-def build_phase(field, midfield, constants, h_grid=None, center=None,
-                check_condition=None):
+def build_phase(field, midfield, constants, h_grid=None, check_condition=None):
     """Sample the phase phi = k f on the metasurface footprint.
 
     ``h_grid`` supplies the potential on the grid when the field has no
@@ -346,7 +344,6 @@ def build_phase(field, midfield, constants, h_grid=None, center=None,
     """
     grid = midfield.grid
     k1 = constants.kappa1
-    n1, n2 = grid.shape
     if h_grid is None:
         if field.potential is None:
             raise DerivativeUnavailable(
@@ -355,9 +352,8 @@ def build_phase(field, midfield, constants, h_grid=None, center=None,
         h_grid = batch_eval(field.potential, grid.nodes(), (),
                             f"field {field.name!r} potential").reshape(grid.shape)
     f = (np.asarray(h_grid, dtype=float) + midfield.rho) / k1 + midfield.d
-    if center is None:
-        center = (n1 // 2, n2 // 2)
-    phi = constants.k * (f - f[center])
+    n1, n2 = grid.shape
+    phi = constants.k * (f - f[n1 // 2, n2 // 2])
     footprint_fold_check(midfield)
     warnings = []
     if check_condition is not None and not check_condition.passed:

@@ -125,15 +125,14 @@ def point_source(source):
     )
 
 
-def curl_condition(field, grid, tol, stencil=None):
+def curl_condition(field, grid, tol):
     """Max |curl e'| over the grid nodes; passes iff below ``tol``, so a
     non-finite value at any node fails.  The details name the first node
     reaching the maximum, unless it is 0."""
-    if stencil is None and field.jac is None:
-        stencil = FDStencil(
-            h1=max(1e-5, 0.01 * grid.spacing[0]),
-            h2=max(1e-5, 0.01 * grid.spacing[1]),
-        )
+    stencil = FDStencil(  # used only when the field has no jac
+        h1=max(1e-5, 0.01 * grid.spacing[0]),
+        h2=max(1e-5, 0.01 * grid.spacing[1]),
+    )
     x = grid.nodes()
     curl = np.abs(field.curl_eprime(x, stencil))
     k = int(np.argmax(curl))  # the first maximum, or the first NaN

@@ -16,26 +16,6 @@ def cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def cross3(v, w):
-    """Cross product of two 3-vectors.
-
-    Written out by components rather than calling ``np.cross``, whose
-    per-call axis handling costs more than a whole refraction on numpy 2.x.
-    The arithmetic is the one ``np.cross`` performs, so results are
-    bit-equal to it.  Raises ``ValueError`` unless both arguments have
-    shape (3,).
-    """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != (3,) or w.shape != (3,):
-        raise ValueError(
-            f"expected two 3-vectors, got shapes {v.shape} and {w.shape}"
-        )
-    v1, v2, v3 = v.tolist()
-    w1, w2, w3 = w.tolist()
-    return np.array([v2 * w3 - v3 * w2, v3 * w1 - v1 * w3, v1 * w2 - v2 * w1])
-
-
 def perp(a):
     """Rotate a 2-vector by +90 degrees: (a1, a2) -> (-a2, a1)."""
     return np.array([-a[1], a[0]], dtype=float)
@@ -129,10 +109,10 @@ class FDStencil:
             raise ValueError("step sizes must be positive")
 
     @staticmethod
-    def for_point(x, scale=1e-5, order=2):
-        """Default step max(scale, scale*|x_i|) at each point of ``x``
+    def for_point(x, order=2):
+        """Default step max(1e-5, 1e-5 |x_i|) at each point of ``x``
         (..., 2), balancing truncation and roundoff."""
-        h = np.maximum(scale, scale * np.abs(np.asarray(x, dtype=float)))
+        h = np.maximum(1e-5, 1e-5 * np.abs(np.asarray(x, dtype=float)))
         return FDStencil(h1=h[..., 0], h2=h[..., 1], order=order)
 
     @property

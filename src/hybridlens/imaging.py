@@ -166,7 +166,7 @@ def default_z0(target_map, constants, x0):
     return 0.5 * (lo + hi)
 
 
-def solve_rho(target_map, constants, grid, x0, z0=None, path_tol=None):
+def solve_rho(target_map, constants, grid, x0, z0=None):
     """Integrate the lens PDE over the grid from the anchor (x0, z0).
 
     Integrates the staircase in both axis orders and keeps the x1-first
@@ -192,8 +192,7 @@ def solve_rho(target_map, constants, grid, x0, z0=None, path_tol=None):
     z_a, z_b = (staircase(grid, (i0, j0), z0, slope, axis) for axis in (0, 1))
     residual = float(np.max(np.abs(z_a - z_b)))
     h = float(np.max(grid.spacing))
-    if path_tol is None:
-        path_tol = 100.0 * h**4 * max(1.0, a)
+    path_tol = 100.0 * h**4 * max(1.0, a)
     if residual > path_tol:
         raise PathInconsistency(
             f"axis-order disagreement {residual:.3e} > {path_tol:.3e} "
@@ -290,13 +289,13 @@ def lemma_identity_check(y, kappa1):
     return float(np.linalg.norm(lhs - rhs))
 
 
-def existence_verdict(design, x0=None, tol=1e-9):
+def existence_verdict(design, tol=1e-9):
     """Decide local existence of the phase discontinuity at the anchor.
 
     Requires det(I + DS) != 0 and an invertible D^2 rho: at a fixed point
     det DS != 0; otherwise zeta != (|S|^2/z0^2) varphi and zeta_perp != 0.
     """
-    x0, z0 = _state_at(design, x0, None)
+    x0, z0 = design.x0, design.z0
     k1 = design.constants.kappa1
     s = design.target_map.S(np.asarray(x0, dtype=float))
     ds = design.target_map.DS(np.asarray(x0, dtype=float))
@@ -374,7 +373,7 @@ def solve_rho_2d(s_func, constants, t_range, z0, step):
     return t, a - march_both_ways(z0, t, n_neg, deriv)
 
 
-def explicit_dilation_2d(alpha, kappa1, a, z0, t, quad_tol=1e-13):
+def explicit_dilation_2d(alpha, kappa1, a, z0, t):
     """Exact 2-D profile z(t) for S(t) = alpha t via separable quadrature.
 
     The homogeneous ODE z' = F(t/z) with
@@ -405,8 +404,8 @@ def explicit_dilation_2d(alpha, kappa1, a, z0, t, quad_tol=1e-13):
             # near-machine tolerances trigger scipy's roundoff warning; the
             # returned error estimate is validated explicitly below
             warnings.simplefilter("ignore", IntegrationWarning)
-            val, err = quad(integrand, 0.0, v, epsabs=quad_tol,
-                            epsrel=quad_tol, limit=200)
+            val, err = quad(integrand, 0.0, v, epsabs=1e-13, epsrel=1e-13,
+                            limit=200)
         if err > 1e-9 * max(1.0, abs(val)):
             raise QuadratureError(f"quadrature error estimate {err:.3e} too large")
         return val

@@ -179,14 +179,13 @@ BUILTIN_MAPS = {
 }
 
 
-def admissibility(target_map, grid, tol, stencil=None):
+def admissibility(target_map, grid, tol):
     """Max |curl S| and |S x D|S|^2| over the grid nodes; passes iff both
     are <= tol, so a non-finite value at any node fails."""
-    if stencil is None and target_map.jac_S is None:
-        stencil = FDStencil(
-            h1=max(1e-6, 1e-4 * grid.spacing[0]),
-            h2=max(1e-6, 1e-4 * grid.spacing[1]),
-        )
+    stencil = FDStencil(  # used only when the map has no jac_S
+        h1=max(1e-6, 1e-4 * grid.spacing[0]),
+        h2=max(1e-6, 1e-4 * grid.spacing[1]),
+    )
     x = grid.nodes()
     # np.max propagates NaN, so a node where S or DS is undefined fails
     worst_curl = float(np.max(np.abs(target_map.curl_S(x, stencil))))
@@ -208,7 +207,7 @@ def admissibility(target_map, grid, tol, stencil=None):
     )
 
 
-def eigen_structure(target_map, x, tol_fixed=1e-10, resid_tol=1e-8):
+def eigen_structure(target_map, x):
     """Eigenvalues of DS along S^t and S_perp^t, or FixedPoint when S = 0.
 
     The Rayleigh quotients are validated against the eigenvector residual
@@ -218,7 +217,7 @@ def eigen_structure(target_map, x, tol_fixed=1e-10, resid_tol=1e-8):
     s = target_map.S(x)
     ds = target_map.DS(x)
     norm_s = np.linalg.norm(s)
-    if norm_s <= tol_fixed:
+    if norm_s <= 1e-10:
         return FixedPoint(ds=ds)
     u = s / norm_s
     u_perp = perp(u)
@@ -229,7 +228,7 @@ def eigen_structure(target_map, x, tol_fixed=1e-10, resid_tol=1e-8):
         np.linalg.norm(ds @ u - zeta * u),
         np.linalg.norm(ds @ u_perp - zeta_perp * u_perp),
     )
-    if resid > resid_tol * scale:
+    if resid > 1e-8 * scale:
         raise NotEigenvector(
             f"S^t is not an eigenvector of DS at {tuple(x)}: residual {resid:.3e}"
         )

@@ -32,9 +32,9 @@ class TraceableLens:
     target_map: Optional[TargetMap] = None
 
     @staticmethod
-    def from_design(design, phase, spline_order=3):
+    def from_design(design, phase):
         return TraceableLens(
-            surface=from_design(design, order=spline_order),
+            surface=from_design(design),
             phase=phase,
             grid=design.grid,
             target_map=design.target_map,

@@ -34,19 +34,19 @@ class Surface:
         r = self.value(x)
         return float(r) if x.ndim == 1 else np.asarray(r, dtype=float)
 
-    def gradient(self, x, stencil=None):
+    def gradient(self, x):
         """Dr(x): (2,) for a point, (n, 2) for a batch of points."""
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return batch_eval(self.grad, x, (2,), f"surface {self.name!r} grad")
-        return fd_gradient(self.value, x, stencil)
+        return fd_gradient(self.value, x)
 
-    def hessian(self, x, stencil=None):
+    def hessian(self, x):
         """D^2 r(x): (2, 2) for a point, (n, 2, 2) for a batch of points."""
         x = np.asarray(x, dtype=float)
         if self.hess is not None:
             return batch_eval(self.hess, x, (2, 2), f"surface {self.name!r} hess")
-        return fd_hessian(self.value, x, stencil or FDStencil(1e-4, 1e-4))
+        return fd_hessian(self.value, x, FDStencil(1e-4, 1e-4))
 
     def normal(self, x):
         """Unit normal with positive vertical component: (3,) for a point,

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -240,3 +241,95 @@ def test_lemma_check(tmp_path):
 ])
 def test_gradient_mode_defaults_to_fd(argv):
     assert build_parser().parse_args(argv).gradient_mode == "fd"
+
+
+FLAG_TABLE = {
+    "check": {"--config", "--out", "--grid", "--tol"},
+    "design-imaging": {"--config", "--out", "--grid", "--force",
+                       "--gradient-mode"},
+    "design-farfield": {"--config", "--out", "--grid", "--force",
+                        "--gradient-mode"},
+    "trace": {"--design", "--out", "--gradient-mode"},
+    "plot2d": {"--config", "--out"},
+    "lemma-check": {"--config", "--out", "--tol"},
+}
+
+
+@pytest.mark.parametrize("command", FLAG_TABLE)
+def test_each_command_has_only_the_flags_it_reads(command, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags - {"--help"} == FLAG_TABLE[command]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("design-imaging", ["--tol", "1"]),
+    ("design-farfield", ["--tol", "1"]),
+    ("plot2d", ["--grid", "11"]),
+    ("trace", ["--force"]),
+    ("trace", ["--grid", "3"]),
+    ("check", ["--force"]),
+    ("lemma-check", ["--grid", "3"]),
+])
+def test_a_flag_the_command_does_not_read_is_usage_error(command, flag, capsys):
+    source = ["--design", "out"] if command == "trace" else ["--config", "c.json"]
+    assert main([command] + source + flag) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+IMAGING = {
+    "constants": CONSTANTS,
+    "map": {"name": "dilation", "params": {"alpha": 0.2}},
+    "grid": {"box": [[-0.5, 0.5], [-0.5, 0.5]], "n": 11},
+}
+FARFIELD = {
+    "constants": CONSTANTS,
+    "field": {"name": "point_source", "params": {"source": [0.0, 0.0, -5.0]}},
+    "surface": {"name": "polynomial",
+                "params": {"coeffs": [[0.5, 0, 0.3], [0, 0, 0], [0.3, 0, 0]]}},
+    "grid": {"box": [[-0.5, 0.5], [-0.5, 0.5]], "n": 11},
+}
+PROFILES = {
+    "constants": {**CONSTANTS, "a": 100.0, "c": 150.0},
+    "alphas": [0.2],
+    "z0": 70.0,
+    "step": 0.01,
+}
+NO_LENS = {**CONSTANTS, "n2": 0.9}
+
+
+MALFORMED = {
+    "alphas-not-a-list": ("plot2d", PROFILES, {"alphas": 0.3}),
+    "map-not-an-object": ("check", IMAGING, {"map": 5}),
+    "z0-not-a-number": ("plot2d", PROFILES, {"z0": "abc"}),
+    "step-not-a-number": ("plot2d", PROFILES, {"step": "x"}),
+    "t_range-without-0": ("plot2d", PROFILES, {"t_range": [0.5, 1.0]}),
+    "tolerance-not-a-number": ("check", IMAGING,
+                               {"tolerances": {"curl": "x"}}),
+    "thickness-tolerance": ("check", IMAGING,
+                            {"tolerances": {"thickness": 0.0}}),
+    "x0-not-numbers": ("design-imaging", IMAGING, {"x0": ["a", "b"]}),
+    "dilation-alpha-1": ("check", IMAGING, {"map": {
+        "name": "dilation", "params": {"alpha": -1}}}),
+    "source-above-plane": ("design-farfield", FARFIELD, {"field": {
+        "name": "point_source", "params": {"source": [0, 0, 1]}}}),
+    "imaging-n2-below-n1": ("design-imaging", IMAGING, {"constants": NO_LENS}),
+    "imaging-c-at-a": ("design-imaging", IMAGING,
+                       {"constants": {**CONSTANTS, "c": 1.0}}),
+    "farfield-n2-below-n1": ("design-farfield", FARFIELD,
+                             {"constants": NO_LENS}),
+    "check-n2-below-n1": ("check", IMAGING, {"constants": NO_LENS}),
+    "plot2d-n2-below-n1": ("plot2d", PROFILES, {"constants": NO_LENS}),
+    "lemma-n2-below-n1": ("lemma-check", IMAGING, {"constants": NO_LENS}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_config_exits_2_with_one_line(case, tmp_path, capsys):
+    command, base, change = MALFORMED[case]
+    cfg = write_config(tmp_path, "bad.json",
+                       {**base, **change, "output_dir": str(tmp_path / "out")})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1

@@ -7,7 +7,6 @@ from hybridlens.geometry import (
     FDStencil,
     Grid2D,
     cross2,
-    cross3,
     fd_gradient,
     fd_hessian,
     fd_jacobian,
@@ -23,15 +22,6 @@ finite = st.floats(-10.0, 10.0, allow_nan=False)
 def test_cross2_basis():
     assert cross2(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
     assert cross2(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == -1.0
-
-
-def test_cross3_matches_numpy(rng):
-    # bit-equal, not merely close: io artifacts are 17-digit and bit-stable
-    vs, ws = rng.normal(size=(1000, 3)), rng.normal(size=(1000, 3))
-    for v, w in zip(vs, ws):
-        assert np.array_equal(cross3(v, w), np.cross(v, w))
-    with pytest.raises(ValueError):
-        cross3(np.eye(3), np.eye(3))
 
 
 def test_perp_rotates_left():

@@ -38,7 +38,10 @@ def _out_dir(args, cfg):
 def _load_config(args):
     cfg = DesignConfig.from_file(args.config)
     if args.grid is not None and cfg.grid is not None:
-        cfg.grid = Grid2D.from_box(cfg.grid.box, args.grid)
+        try:
+            cfg.grid = Grid2D.from_box(cfg.grid.box, args.grid)
+        except ValueError as exc:
+            raise ConfigError(f"bad --grid: {exc}") from exc
     return cfg
 
 
@@ -121,13 +124,17 @@ def cmd_design_imaging(args):
     mid = farfield.midfield_vertical(
         cfg.grid, design.rho, design.drho, cfg.constants
     )
+    surface = from_design(design)
     det_check = farfield.sufficient_det_vertical(
-        from_design(design), cfg.constants, design.x0
+        surface, cfg.constants, design.x0
     )
     phase = farfield.build_phase(
         vertical(), mid, cfg.constants, check_condition=det_check
     )
-    lens = raytrace.TraceableLens.from_design(design, phase)
+    lens = raytrace.TraceableLens(
+        surface=surface, phase=phase, grid=design.grid,
+        target_map=design.target_map,
+    )
     report = raytrace.trace_through(
         lens, vertical(), cfg.constants, _trace_samples(cfg.grid),
         gradient_mode=_mode(args),

@@ -193,6 +193,9 @@ class Grid2D:
     def from_box(box, n1, n2=None):
         (a1, b1), (a2, b2) = box
         n2 = n1 if n2 is None else n2
+        if min(n1, n2) < 2:
+            raise ValueError(
+                f"a grid needs at least 2 nodes per axis, got {n1}x{n2}")
         return Grid2D(np.linspace(a1, b1, n1), np.linspace(a2, b2, n2))
 
     @property

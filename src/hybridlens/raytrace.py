@@ -8,6 +8,7 @@ prescribed image points.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -22,9 +23,14 @@ from .surfaces import Surface, from_design
 VERTICAL = np.array([0.0, 0.0, 1.0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceableLens:
-    """A lens ready for tracing: lower face, phase map, and design grid."""
+    """A lens ready for tracing: lower face, phase map, and design grid.
+
+    The lens is frozen.  Its ``fd_phase`` splines are fit on its first
+    ``fd_phase`` trace and reused by every later one; ``analytic``
+    traces never fit them.
+    """
 
     surface: Surface
     phase: PhaseMap
@@ -39,6 +45,23 @@ class TraceableLens:
             grid=design.grid,
             target_map=design.target_map,
         )
+
+    @cached_property
+    def _fd_phase_gradient(self):
+        # Holds the splines, not the lens: with no reference cycle a lens
+        # is freed as soon as its last reference goes.
+        return _PhaseGradient(self.grid, self.phase)
+
+    def phase_gradient(self, mode):
+        """The tangential phase gradient of ``mode``: a function from (n, 2)
+        samples to (n, 2) gradients.  "analytic" takes the stored gradient
+        at the nearest design node, "fd_phase" differentiates the
+        interpolated phase samples."""
+        if mode == "analytic":
+            return lambda x: self.phase.grad_tan[self.grid.nearest_index(x)]
+        if mode == "fd_phase":
+            return self._fd_phase_gradient
+        raise ValueError(f"unknown gradient mode {mode!r}")
 
 
 @dataclass
@@ -68,33 +91,23 @@ class TraceReport:
 
 
 class _PhaseGradient:
-    """Phase-gradient lookup for a batch of rays: stored analytic samples
-    or numeric differentiation of the interpolated phase samples.
+    """Numeric phase gradient for a batch of rays.
 
-    The numeric route never touches the stored tangential gradient: the
-    phase and footprint samples are fit with splines over the design
-    grid and the surface gradient is recovered through the chain rule
+    It never touches the stored tangential gradient: the phase and
+    footprint samples are fit with splines over the design grid and the
+    surface gradient is recovered through the chain rule
     grad_Q(phi) = (DQ)^-T grad_x(phi(Q(x))).
     """
 
-    def __init__(self, lens, mode):
-        self.lens = lens
-        self.mode = mode
-        if mode == "fd_phase":
-            g = lens.grid
-            order = min(5, g.shape[0] - 1, g.shape[1] - 1)
-            mk = lambda z: RectBivariateSpline(g.x1, g.x2, z, kx=order, ky=order)
-            self._phi = mk(lens.phase.phi)
-            self._q1 = mk(lens.phase.Q[..., 0])
-            self._q2 = mk(lens.phase.Q[..., 1])
-        elif mode != "analytic":
-            raise ValueError(f"unknown gradient mode {mode!r}")
+    def __init__(self, grid, phase):
+        order = min(5, grid.shape[0] - 1, grid.shape[1] - 1)
+        mk = lambda z: RectBivariateSpline(grid.x1, grid.x2, z, kx=order, ky=order)
+        self._phi = mk(phase.phi)
+        self._q1 = mk(phase.Q[..., 0])
+        self._q2 = mk(phase.Q[..., 1])
 
     def __call__(self, x_samples):
         """(n, 2) tangential gradients at the rays started from ``x_samples``."""
-        if self.mode == "analytic":
-            i, j = self.lens.grid.nearest_index(x_samples)
-            return self.lens.phase.grad_tan[i, j]
         x1, x2 = x_samples[:, 0], x_samples[:, 1]
         d = lambda sp, dx, dy: sp.ev(x1, x2, dx=dx, dy=dy)
         gx = np.stack([d(self._phi, 1, 0), d(self._phi, 0, 1)], axis=-1)
@@ -121,7 +134,7 @@ def trace_through(lens, incident_field, constants, samples,
     k1, k2 = constants.kappa1, constants.kappa2
     a, c = constants.a, constants.c
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    grad_phi = _PhaseGradient(lens, gradient_mode)
+    grad_phi = lens.phase_gradient(gradient_mode)
     n = samples.shape[0]
 
     # Own copy of farfield.ray_to_metasurface, so that the verifier does

@@ -322,6 +322,10 @@ MALFORMED = {
     "check-n2-below-n1": ("check", IMAGING, {"constants": NO_LENS}),
     "plot2d-n2-below-n1": ("plot2d", PROFILES, {"constants": NO_LENS}),
     "lemma-n2-below-n1": ("lemma-check", IMAGING, {"constants": NO_LENS}),
+    "grid-n-0": ("check", IMAGING, {"grid": {**IMAGING["grid"], "n": 0}}),
+    "grid-n-1": ("check", IMAGING, {"grid": {**IMAGING["grid"], "n": 1}}),
+    "grid-n-1-by-11": ("design-imaging", IMAGING,
+                       {"grid": {**IMAGING["grid"], "n": [1, 11]}}),
 }
 
 
@@ -333,3 +337,16 @@ def test_malformed_config_exits_2_with_one_line(case, tmp_path, capsys):
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, nodes", [
+    ("check", "0"), ("check", "1"), ("check", "-3"), ("design-imaging", "0"),
+])
+def test_too_few_grid_nodes_exit_2_with_one_line(command, nodes, tmp_path,
+                                                 capsys):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {**IMAGING, "output_dir": str(tmp_path / "out")})
+    assert main([command, "--config", cfg, "--grid", nodes]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "at least 2 nodes per axis" in err

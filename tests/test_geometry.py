@@ -191,6 +191,11 @@ class TestGrid2D:
         assert np.allclose(g.spacing, [0.5, 0.25])
         assert g.box == ((-1.0, 1.0), (0.0, 2.0))
 
+    @pytest.mark.parametrize("n1, n2", [(0, 0), (1, 1), (1, 5), (5, 1), (-2, 3)])
+    def test_from_box_needs_two_nodes_per_axis(self, n1, n2):
+        with pytest.raises(ValueError, match="at least 2 nodes per axis"):
+            Grid2D.from_box(((0.0, 1.0), (0.0, 1.0)), n1, n2)
+
     def test_nodes_row_major(self):
         g = Grid2D.from_box(((0.0, 1.0), (0.0, 1.0)), 3)
         nodes = g.nodes()

@@ -1,6 +1,11 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from hybridlens import raytrace
 from hybridlens.farfield import PhaseMap, build_phase, midfield_vertical
 from hybridlens.fields import vertical
 from hybridlens.geometry import Grid2D
@@ -56,6 +61,12 @@ def test_unknown_gradient_mode(dilation_lens, constants):
     with pytest.raises(ValueError):
         trace_through(dilation_lens, vertical(), constants,
                       np.zeros((1, 2)), gradient_mode="nope")
+    # also once the lens holds its fd_phase splines
+    trace_through(dilation_lens, vertical(), constants, np.zeros((1, 2)),
+                  gradient_mode="fd_phase")
+    with pytest.raises(ValueError, match="unknown gradient mode"):
+        trace_through(dilation_lens, vertical(), constants,
+                      np.zeros((1, 2)), gradient_mode="fd")
 
 
 def test_hit_heights_inside_slab(dilation_lens, constants, node_samples):
@@ -92,8 +103,8 @@ def test_batch_trace_equals_single_rays(dilation_lens, constants, node_samples,
                             gradient_mode=mode)
         for name in ["hits", "mid_directions", "meta_points",
                      "exit_directions", "landings"]:
-            gap = np.abs(getattr(batch, name)[i] - getattr(one, name)[0])
-            assert np.max(gap) <= 1e-15, name
+            assert np.array_equal(getattr(batch, name)[i],
+                                  getattr(one, name)[0]), name
 
 
 @pytest.mark.parametrize("mode", ["analytic", "fd_phase"])
@@ -115,3 +126,69 @@ def test_spot_diagram(dilation_lens, constants, node_samples):
     assert spot["spot_radius"] == report.aggregates["max_landing_error"]
     assert spot["quantiles"]["q100"] == spot["spot_radius"]
     assert spot["quantiles"]["q0"] <= spot["quantiles"]["q50"]
+
+
+REPORT_FIELDS = ["hits", "mid_directions", "meta_points", "exit_directions",
+                 "landings", "targets"]
+
+
+def _fresh_lens(lens):
+    return TraceableLens(surface=lens.surface, phase=lens.phase,
+                         grid=lens.grid, target_map=lens.target_map)
+
+
+@pytest.fixture
+def fit_count(monkeypatch):
+    """Counts the splines ``raytrace`` fits."""
+    fits = []
+    real = raytrace.RectBivariateSpline
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(raytrace, "RectBivariateSpline", counted)
+    return fits
+
+
+def test_fd_phase_splines_are_fit_once_per_lens(dilation_lens, constants,
+                                                node_samples, fit_count):
+    lens = _fresh_lens(dilation_lens)
+    trace = lambda mode: trace_through(lens, vertical(), constants,
+                                       node_samples, gradient_mode=mode)
+    trace("analytic")
+    assert len(fit_count) == 0
+    first = trace("fd_phase")
+    assert len(fit_count) == 3
+    second = trace("fd_phase")
+    trace("analytic")
+    assert len(fit_count) == 3
+    fresh = trace_through(_fresh_lens(dilation_lens), vertical(), constants,
+                          node_samples, gradient_mode="fd_phase")
+    assert len(fit_count) == 6
+    for name in REPORT_FIELDS:
+        assert np.array_equal(getattr(second, name), getattr(first, name)), name
+        assert np.array_equal(getattr(fresh, name), getattr(first, name)), name
+    assert second.aggregates == first.aggregates == fresh.aggregates
+
+
+@pytest.mark.parametrize("name", ["surface", "phase", "grid", "target_map"])
+def test_lens_fields_cannot_be_swapped(dilation_lens, name):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(dilation_lens, name, None)
+
+
+def test_traced_lens_is_freed_without_the_cyclic_collector(dilation_lens,
+                                                           constants,
+                                                           node_samples):
+    lens = _fresh_lens(dilation_lens)
+    gc.disable()
+    try:
+        for mode in ["analytic", "fd_phase"]:
+            trace_through(lens, vertical(), constants, node_samples,
+                          gradient_mode=mode)
+        ref = weakref.ref(lens)
+        del lens
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -232,7 +232,7 @@ def cmd_plot2d(args):
     if cfg.z0 is None:
         raise ConfigError("plot2d requires 'z0'")
     t_range = cfg.t_range or (-1.0, 1.0)
-    step = cfg.step or 1e-3
+    step = 1e-3 if cfg.step is None else cfg.step
     out = _out_dir(args, cfg)
     failures = []
     for alpha in cfg.alphas:

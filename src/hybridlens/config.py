@@ -1,6 +1,7 @@
 """JSON design configuration with strict validation."""
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -142,6 +143,9 @@ class DesignConfig:
                 raise ConfigError("t_range must contain 0")
         if "step" in raw:
             cfg.step = _number(raw["step"], "step")
+            if not (math.isfinite(cfg.step) and cfg.step > 0.0):
+                raise ConfigError(
+                    f"step must be a finite number > 0, got {cfg.step}")
         return cfg
 
     @staticmethod

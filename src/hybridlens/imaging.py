@@ -201,8 +201,7 @@ def solve_rho(target_map, constants, grid, x0, z0=None):
 
     nodes = grid.nodes()
     z_flat = z_a.ravel()
-    _check_feasible(target_map.S(nodes), z_flat, k1, a)
-    drho = -rhs_V(nodes, z_flat, target_map, k1).reshape(grid.shape + (2,))
+    drho = -rhs_V(nodes, z_flat, target_map, k1, a).reshape(grid.shape + (2,))
     rho = a - z_a
     return LensDesign(
         grid=grid,
@@ -351,6 +350,8 @@ def solve_rho_2d(s_func, constants, t_range, z0, step):
     t_min, t_max = t_range
     if not (t_min <= 0.0 <= t_max):
         raise ValueError("t_range must contain 0")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be a finite number > 0, got {step}")
     lo, hi = feasible_z_interval(abs(float(s_func(0.0))), k1, a)
     if not (lo < z0 < hi):
         raise FeasibilityViolation(f"z0 = {z0} outside admissible ({lo}, {hi})")

@@ -74,62 +74,42 @@ def _rowdot(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
-def _dots(x, nu):
-    """Floats x . nu and x . x of two 3-vectors, summed in ``_rowdot``'s
-    order so that a single ray refracts exactly like its row in a batch."""
-    x1, x2, x3 = x.tolist()
-    n1, n2, n3 = nu.tolist()
-    return x1 * n1 + x2 * n2 + x3 * n3, x1 * x1 + x2 * x2 + x3 * x3
-
-
-def _first(bad):
-    return int(np.flatnonzero(bad)[0])
-
-
-def _refract_rows(xs, nu, kappa, xsdn, disc):
-    """Array form of ``m = (xs - mu nu) / kappa`` shared by both laws."""
+def _refract(xs, nu, kappa, metasurface):
+    """The one refraction kernel: ``m = (xs - mu nu) / kappa`` row by row,
+    with ``xs = x`` for the standard law and ``xs = x - grad_phi/k`` for
+    the metasurface law.  A single ray is a batch of one, so it refracts
+    bit-equal to its row in a batch.  The first failing row raises."""
+    rows = xs.reshape(-1, 3)
+    xsdn = _rowdot(rows, nu)
+    xsxs = _rowdot(rows, rows)
+    disc = kappa * kappa - xsxs + xsdn * xsdn
+    tir = kappa < 1.0 and not metasurface
+    bad = (xsdn < 0.0) | (disc < (DISCRIMINANT_TOL if tir else -DISCRIMINANT_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if xsdn[i] < 0.0:
+            raise InvalidIncidence(
+                f"ray {i}: {'(x - grad_phi/k)' if metasurface else 'x'} . nu = "
+                f"{xsdn[i]} < 0; orient nu toward the outgoing medium"
+            )
+        if metasurface:
+            raise MetaTotalInternalReflection(
+                f"ray {i}: feasibility bracket fails: {xsdn[i]**2} < "
+                f"{xsxs[i] - kappa**2}"
+            )
+        if tir:
+            raise TotalInternalReflection(
+                f"ray {i}: x . nu = {xsdn[i]} < sqrt(1 - kappa^2) = "
+                f"{math.sqrt(1 - kappa**2)}"
+            )
+        raise FloatingPointError(
+            f"ray {i}: discriminant {disc[i]} < 0; x is not a unit direction"
+        )
     mu = xsdn - np.sqrt(np.maximum(disc, 0.0))
-    return RefractionResult(direction=(xs - mu[:, None] * nu) / kappa,
-                            multiplier=mu)
-
-
-def _standard_rows(x, nu, kappa):
-    x = np.atleast_2d(x)
-    xdn = _rowdot(x, nu)
-    if np.any(xdn < 0.0):
-        i = _first(xdn < 0.0)
-        raise InvalidIncidence(
-            f"ray {i}: x . nu = {xdn[i]} < 0; orient nu toward medium II"
-        )
-    disc = kappa * kappa - _rowdot(x, x) + xdn * xdn
-    if kappa < 1.0 and np.any(disc < DISCRIMINANT_TOL):
-        i = _first(disc < DISCRIMINANT_TOL)
-        raise TotalInternalReflection(
-            f"ray {i}: x . nu = {xdn[i]} < sqrt(1 - kappa^2) = "
-            f"{math.sqrt(1 - kappa**2)}"
-        )
-    if np.any(disc < -DISCRIMINANT_TOL):
-        raise FloatingPointError  # as for one ray: not unit directions
-    return _refract_rows(x, nu, kappa, xdn, disc)
-
-
-def _metasurface_rows(xs, nu, kappa):
-    xs = np.atleast_2d(xs)
-    xsdn = _rowdot(xs, nu)
-    if np.any(xsdn < 0.0):
-        i = _first(xsdn < 0.0)
-        raise InvalidIncidence(
-            f"ray {i}: (x - grad_phi/k) . nu = {xsdn[i]} < 0; orient nu "
-            f"toward the outgoing medium"
-        )
-    disc = kappa * kappa - _rowdot(xs, xs) + xsdn * xsdn
-    if np.any(disc < -DISCRIMINANT_TOL):
-        i = _first(disc < -DISCRIMINANT_TOL)
-        raise MetaTotalInternalReflection(
-            f"ray {i}: feasibility bracket fails: {xsdn[i]**2} < "
-            f"{_rowdot(xs[i], xs[i]) - kappa**2}"
-        )
-    return _refract_rows(xs, nu, kappa, xsdn, disc)
+    m = (rows - mu[:, None] * nu) / kappa
+    if xs.ndim == 1 and nu.ndim == 1:
+        return RefractionResult(direction=m[0], multiplier=float(mu[0]))
+    return RefractionResult(direction=m, multiplier=mu)
 
 
 def refract_standard(x, nu, kappa):
@@ -146,27 +126,8 @@ def refract_standard(x, nu, kappa):
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    x = np.asarray(x, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if x.ndim != 1 or nu.ndim != 1:
-        return _standard_rows(x, nu, kappa)
-    xdn, xx = _dots(x, nu)
-    if xdn < 0.0:
-        raise InvalidIncidence(f"x . nu = {xdn} < 0; orient nu toward medium II")
-    # same arithmetic as the metasurface branch with grad_phi = 0, so the
-    # two laws coincide exactly (not just to roundoff) in that limit
-    disc = kappa * kappa - xx + xdn * xdn
-    if kappa < 1.0 and disc < DISCRIMINANT_TOL:
-        raise TotalInternalReflection(
-            f"x . nu = {xdn} < sqrt(1 - kappa^2) = {math.sqrt(1 - kappa**2)}"
-        )
-    if disc < 0.0:
-        if disc < -DISCRIMINANT_TOL:
-            raise FloatingPointError  # not a unit direction
-        disc = 0.0
-    lam = xdn - math.sqrt(disc)
-    m = (x - lam * nu) / kappa
-    return RefractionResult(direction=m, multiplier=lam)
+    return _refract(np.asarray(x, dtype=float), np.asarray(nu, dtype=float),
+                    kappa, metasurface=False)
 
 
 def refract_metasurface(x, nu, kappa, grad_phi, k):
@@ -182,24 +143,8 @@ def refract_metasurface(x, nu, kappa, grad_phi, k):
     """
     if kappa <= 0 or k <= 0:
         raise ValueError("kappa and k must be positive")
-    x = np.asarray(x, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    xs = x - np.asarray(grad_phi, dtype=float) / k
-    if xs.ndim != 1 or nu.ndim != 1:
-        return _metasurface_rows(xs, nu, kappa)
-    xsdn, xsxs = _dots(xs, nu)
-    if xsdn < 0.0:
-        raise InvalidIncidence(
-            f"(x - grad_phi/k) . nu = {xsdn} < 0; orient nu toward the outgoing medium"
-        )
-    disc = kappa * kappa - xsxs + xsdn * xsdn
-    if disc < -DISCRIMINANT_TOL:
-        raise MetaTotalInternalReflection(
-            f"feasibility bracket fails: {xsdn**2} < {xsxs - kappa**2}"
-        )
-    mu = xsdn - math.sqrt(max(disc, 0.0))
-    m = (xs - mu * nu) / kappa
-    return RefractionResult(direction=m, multiplier=mu)
+    xs = np.asarray(x, dtype=float) - np.asarray(grad_phi, dtype=float) / k
+    return _refract(xs, np.asarray(nu, dtype=float), kappa, metasurface=True)
 
 
 def deviation_lower_bound(kappa):

@@ -304,6 +304,9 @@ MALFORMED = {
     "map-not-an-object": ("check", IMAGING, {"map": 5}),
     "z0-not-a-number": ("plot2d", PROFILES, {"z0": "abc"}),
     "step-not-a-number": ("plot2d", PROFILES, {"step": "x"}),
+    "step-zero": ("plot2d", PROFILES, {"step": 0}),
+    "step-negative": ("plot2d", PROFILES, {"step": -0.1}),
+    "step-nan": ("plot2d", PROFILES, {"step": "nan"}),
     "t_range-without-0": ("plot2d", PROFILES, {"t_range": [0.5, 1.0]}),
     "tolerance-not-a-number": ("check", IMAGING,
                                {"tolerances": {"curl": "x"}}),

@@ -200,6 +200,31 @@ def test_batch_with_one_backward_ray_raises(rng):
         refract_standard(x, nu, 1.5)
 
 
+def test_mixed_bad_batch_raises_for_first_failing_row_standard(rng):
+    kappa = 0.8
+    x, nu = random_batch(rng, kappa, n=5)
+    nu[1] = [0.0, 0.0, 1.0]
+    x[1] = np.array([1.0, 0.0, 0.1]) / math.hypot(1.0, 0.1)  # grazing row
+    x[3] = -x[3]  # backward row, later in the batch
+    with pytest.raises(TotalInternalReflection, match="ray 1"):
+        refract_standard(x, nu, kappa)
+
+
+def test_mixed_bad_batch_raises_for_first_failing_row_metasurface():
+    x = np.tile([0.0, 0.0, 1.0], (5, 1))
+    g = np.zeros((5, 3))
+    g[1, 0] = 10.0  # infeasible row
+    g[3, 2] = 2.0  # backward row, later in the batch
+    with pytest.raises(MetaTotalInternalReflection, match="ray 1"):
+        refract_metasurface(x, np.array([0.0, 0.0, 1.0]), 1.5, g, k=1.0)
+
+
+def test_non_unit_direction_raises_with_a_message():
+    with pytest.raises(FloatingPointError, match="ray 0: discriminant -1.75"):
+        refract_standard(np.array([2.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
+                         1.5)
+
+
 def test_deviation_bound_values():
     assert deviation_lower_bound(2.0) == 0.5
     assert deviation_lower_bound(0.8) == 0.8

@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from .errors import FeasibilityViolation, PathInconsistency, QuadratureError
 from .geometry import Grid2D, march_both_ways, outer, staircase
@@ -383,7 +381,11 @@ def explicit_dilation_2d(alpha, kappa1, a, z0, t):
     G(v) the integral of F/(1 - w F(w)); given t the substitution
     parameter v is recovered by bracketed root-finding.  Entirely
     independent of the RK4 solver, so it can serve as its oracle.
+    It imports scipy when called; nothing else in the package does.
     """
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.optimize import brentq
+
     if kappa1 <= 1.0:
         raise ValueError("kappa1 > 1 required")
     if not (0.0 < z0 < a):

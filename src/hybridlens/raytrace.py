@@ -12,12 +12,12 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .farfield import PhaseMap, intersect_ray
 from .geometry import Grid2D
 from .maps import TargetMap
 from .snell import refract_metasurface, refract_standard
+from .splines import GRADIENT, GridSpline
 from .surfaces import Surface, from_design
 
 VERTICAL = np.array([0.0, 0.0, 1.0])
@@ -27,9 +27,9 @@ VERTICAL = np.array([0.0, 0.0, 1.0])
 class TraceableLens:
     """A lens ready for tracing: lower face, phase map, and design grid.
 
-    The lens is frozen.  Its ``fd_phase`` splines are fit on its first
-    ``fd_phase`` trace and reused by every later one; ``analytic``
-    traces never fit them.
+    The lens is frozen.  Its ``fd_phase`` spline (phi, Q1 and Q2 as one
+    three-column fit) is fit on its first ``fd_phase`` trace and reused
+    by every later one; ``analytic`` traces never fit it.
     """
 
     surface: Surface
@@ -48,7 +48,7 @@ class TraceableLens:
 
     @cached_property
     def _fd_phase_gradient(self):
-        # Holds the splines, not the lens: with no reference cycle a lens
+        # Holds the spline, not the lens: with no reference cycle a lens
         # is freed as soon as its last reference goes.
         return _PhaseGradient(self.grid, self.phase)
 
@@ -93,29 +93,23 @@ class TraceReport:
 class _PhaseGradient:
     """Numeric phase gradient for a batch of rays.
 
-    It never touches the stored tangential gradient: the phase and
-    footprint samples are fit with splines over the design grid and the
-    surface gradient is recovered through the chain rule
-    grad_Q(phi) = (DQ)^-T grad_x(phi(Q(x))).
+    It never touches the stored tangential gradient: the phase and the
+    footprint samples (phi, Q1, Q2) are fit as one three-column spline
+    over the design grid and the surface gradient is recovered through
+    the chain rule grad_Q(phi) = (DQ)^-T grad_x(phi(Q(x))).
     """
 
     def __init__(self, grid, phase):
         order = min(5, grid.shape[0] - 1, grid.shape[1] - 1)
-        mk = lambda z: RectBivariateSpline(grid.x1, grid.x2, z, kx=order, ky=order)
-        self._phi = mk(phase.phi)
-        self._q1 = mk(phase.Q[..., 0])
-        self._q2 = mk(phase.Q[..., 1])
+        self._spline = GridSpline(
+            grid, np.concatenate([phase.phi[..., None], phase.Q], axis=-1), order)
 
     def __call__(self, x_samples):
         """(n, 2) tangential gradients at the rays started from ``x_samples``."""
-        x1, x2 = x_samples[:, 0], x_samples[:, 1]
-        d = lambda sp, dx, dy: sp.ev(x1, x2, dx=dx, dy=dy)
-        gx = np.stack([d(self._phi, 1, 0), d(self._phi, 0, 1)], axis=-1)
-        jac_t = np.empty((len(x1), 2, 2))  # (DQ)^T, row-major per ray
-        jac_t[:, 0, 0] = d(self._q1, 1, 0)
-        jac_t[:, 1, 0] = d(self._q1, 0, 1)
-        jac_t[:, 0, 1] = d(self._q2, 1, 0)
-        jac_t[:, 1, 1] = d(self._q2, 0, 1)
+        # d/dx1 and d/dx2 of (phi, Q1, Q2), each (n, 3)
+        d1, d2 = self._spline(x_samples, *GRADIENT)
+        gx = np.stack([d1[:, 0], d2[:, 0]], axis=-1)
+        jac_t = np.stack([d1[:, 1:], d2[:, 1:]], axis=1)  # (DQ)^T per ray
         return np.linalg.solve(jac_t, gx[..., None])[..., 0]
 
 
@@ -127,8 +121,10 @@ def trace_through(lens, incident_field, constants, samples,
     ``gradient_mode`` selects the stored tangential gradient at the
     nearest design node ("analytic") or finite differences of the
     interpolated phase samples ("fd_phase").  Samples outside the design
-    box are traced through the extrapolated splines and counted in
-    ``aggregates["outside_patch"]``.
+    box are counted in ``aggregates["outside_patch"]`` and traced through
+    splines that clamp each coordinate to the box: outside it, the face
+    and the phase take the values and derivatives of the nearest point
+    of the box; nothing is extrapolated.
     """
     constants.require_lens_geometry()
     k1, k2 = constants.kappa1, constants.kappa2

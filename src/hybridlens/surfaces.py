@@ -4,9 +4,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .geometry import FDStencil, batch_eval, fd_gradient, fd_hessian, mat2
+from .splines import GRADIENT, HESSIAN, GridSpline
 
 
 _poly = np.polynomial.polynomial
@@ -104,18 +104,20 @@ def from_design(design, order=3):
 
 
 def from_grid(grid, rho, order=3):
-    sp = RectBivariateSpline(grid.x1, grid.x2, np.asarray(rho, dtype=float),
-                             kx=order, ky=order)
+    """Interpolating spline through the heights ``rho`` on ``grid``; a
+    point outside the grid's box takes the value and derivatives of the
+    nearest point of the box (see ``splines``)."""
+    sp = GridSpline(grid, rho, order)
 
-    def ev(x, dx=0, dy=0):
-        return sp.ev(x[..., 0], x[..., 1], dx=dx, dy=dy)
+    def hess(x):
+        h11, h12, h22 = sp(x, *HESSIAN)
+        return mat2(h11, h12, h12, h22)
 
     return Surface(
         name="spline",
-        value=ev,
-        grad=lambda x: np.stack([ev(x, dx=1), ev(x, dy=1)], axis=-1),
-        hess=lambda x: mat2(ev(x, dx=2), ev(x, dx=1, dy=1),
-                            ev(x, dx=1, dy=1), ev(x, dy=2)),
+        value=lambda x: sp(x)[0],
+        grad=lambda x: np.stack(sp(x, *GRADIENT), axis=-1),
+        hess=hess,
         params={"order": order},
     )
 

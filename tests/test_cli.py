@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hybridlens
 from hybridlens import io
 from hybridlens.cli import build_parser, main
 
@@ -353,3 +357,45 @@ def test_too_few_grid_nodes_exit_2_with_one_line(command, nodes, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert "at least 2 nodes per axis" in err
+
+
+def test_retrace_writes_the_design_trace_byte_for_byte(dilation_cfg, tmp_path):
+    """`trace --gradient-mode fd` on a design's artifacts rebuilds the same
+    lens and writes the same report as `design-imaging` did."""
+    out = tmp_path / "out"
+    assert main(["design-imaging", "--config", dilation_cfg]) == 0
+    retrace = tmp_path / "retrace"
+    assert main(["trace", "--design", str(out), "--out", str(retrace),
+                 "--gradient-mode", "fd"]) == 0
+    for name in ["trace_report.csv", "trace_aggregates.json"]:
+        assert (retrace / name).read_bytes() == (out / name).read_bytes(), name
+
+
+SCIPY_PROBE = """
+import sys
+import hybridlens.cli as cli
+cfg, out = sys.argv[1], sys.argv[2]
+assert cli.main(["design-imaging", "--config", cfg, "--out", out]) == 0
+assert cli.main(["trace", "--design", out, "--gradient-mode", "fd"]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+print("no scipy")
+"""
+
+
+def test_design_and_trace_never_import_scipy(tmp_path):
+    """Run in a fresh interpreter, so that no other test's import counts."""
+    cfg = write_config(tmp_path, "dilation31.json", {
+        "constants": CONSTANTS,
+        "map": {"name": "dilation", "params": {"alpha": 0.2}},
+        "grid": {"box": [[-0.7, 0.7], [-0.7, 0.7]], "n": 31},
+        "x0": [0.0, 0.0],
+    })
+    src = str(Path(hybridlens.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, cfg, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().endswith("no scipy")

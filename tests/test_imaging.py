@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridlens import imaging
 from hybridlens.errors import (
     FeasibilityViolation,
     PathInconsistency,
@@ -262,7 +262,8 @@ class Test2D:
         assert explicit_dilation_2d(0.3, 1.5, 100.0, 70.0, 0.0) == 70.0
 
     def test_explicit_profile_rejects_a_loose_quadrature(self, monkeypatch):
-        monkeypatch.setattr(imaging, "quad", lambda f, lo, hi, **kw: (0.0, 1.0))
+        # explicit_dilation_2d imports quad from scipy.integrate on each call
+        monkeypatch.setattr(scipy.integrate, "quad", lambda f, lo, hi, **kw: (0.0, 1.0))
         with pytest.raises(QuadratureError, match="error estimate 1.000e"):
             explicit_dilation_2d(0.3, 1.5, 100.0, 70.0, 0.7)
 

@@ -19,17 +19,19 @@ Fitting with Splines*, 1993):
 
 Every step does FITPACK's floating-point operations in FITPACK's order,
 each as one elementwise numpy operation, so where FITPACK is compiled
-without fused multiply-adds the results are scipy's, bit for bit.  Each
-evaluated row is computed by the same operations whatever the batch, so
-a single point is bit-equal to its row in any batch.
+without fused multiply-adds the results are scipy's, bit for bit.  (Two
+steps of the fit can give a zero coefficient the other sign, and do
+nothing else: a data row that FITPACK rotates into an empty triangle row
+is stored there by the rotation before, and a zero pivot, which FITPACK
+skips, is a rotation by angle 0.  No value or partial can show it, since
+each sum starts from +0.)  Each evaluated row is computed by the same
+operations whatever the batch, so a single point is bit-equal to its
+row in any batch.
 """
 
 import math
 
 import numpy as np
-
-#: Points per evaluation block.
-_BLOCK = 4096
 
 VALUE = ((0, 0),)
 GRADIENT = ((1, 0), (0, 1))
@@ -79,19 +81,19 @@ class GridSpline:
         # Both axes in one knot array, so that one gather serves both.
         self._flat_knots = np.concatenate(self._knots)
         self._knot_offset = np.array([[0], [self._knots[0].size]])
+        self._interior = tuple(t[k + 1:t.size - k - 1] for t in self._knots)
         self._span = np.array([[t[k], t[-k - 1]] for t in self._knots])
         # FITPACK's fpgrre: rotate the x1 collocation rows into a
         # triangle, then the x2 rows, then back-substitute along x2 and
         # along x1.  Each column of the right-hand sides is one (node,
         # field) pair, so the fields of a stack share every rotation.
-        (n1, n2), swap = shape, lambda q, rows, cols: (
-            q.reshape(rows, cols, -1).transpose(1, 0, 2).reshape(cols, -1))
-        band1, chains1 = band2, chains2 = _givens_rotations(
-            *self._collocation(sites[0], 0))
-        if not np.array_equal(sites[0], sites[1]):
-            band2, chains2 = _givens_rotations(*self._collocation(sites[1], 1))
-        q = _rotate(chains2, swap(_rotate(chains1, z.reshape(n1, -1)), n1, n2))
-        coeffs = _back_substitute(band1, swap(_back_substitute(band2, q), n2, n1))
+        n1, n2 = shape
+        band1, rotations1 = _givens_rotations(*self._collocation(sites[0], 0))
+        band2, rotations2 = ((band1, rotations1) if np.array_equal(sites[0], sites[1])
+                             else _givens_rotations(*self._collocation(sites[1], 1)))
+        q = _swap_axes(_rotate(rotations1, z.reshape(n1, -1)), n1, n2)
+        q = _swap_axes(_back_substitute(band2, _rotate(rotations2, q)), n2, n1)
+        coeffs = _back_substitute(band1, q)
         # (c, n1, n2): each field's coefficients in one block
         self._coeffs = {(0, 0): np.ascontiguousarray(
             coeffs.reshape(n1, n2, -1).transpose(2, 0, 1))}
@@ -114,18 +116,16 @@ class GridSpline:
             raise ValueError(f"points of shape {x.shape}, expected (..., 2)")
         batch = x.shape[:-1]
         # (2, n): one row per axis, each coordinate clamped to the span.
-        pts = np.clip(x.reshape(-1, 2).T, self._span[:, :1], self._span[:, 1:])
-        # Blocks of points bound the temporaries, (k+1)^2 terms per point.
-        blocks = [self._evaluate(pts[:, i:i + _BLOCK], partials)
-                  for i in range(0, max(pts.shape[1], 1), _BLOCK)]
-        return tuple(np.concatenate(parts).reshape(batch + self._columns)
-                     for parts in zip(*blocks))
+        pts = np.minimum(np.maximum(x.reshape(-1, 2).T, self._span[:, :1]),
+                         self._span[:, 1:])
+        return tuple(v.reshape(batch + self._columns)
+                     for v in self._evaluate(pts, partials))
 
     def _evaluate(self, pts, partials):
         """The partials at the clamped points ``pts`` (2, n), each as an
         (n, c) array, or (n,) for a spline of one field."""
         k = self.order
-        ell = np.stack([self._intervals(pts[0], 0), self._intervals(pts[1], 1)])
+        ell = np.array([self._intervals(pts[0], 0), self._intervals(pts[1], 1)])
         bases = self._bases(pts, ell + self._knot_offset,
                             k - min(nu for p in partials for nu in p))
         n, cols = pts.shape[1], self._coeffs[(0, 0)].shape[0]
@@ -154,8 +154,7 @@ class GridSpline:
         """Index ``l`` of the knot interval [t_l, t_l+1) that holds each
         coordinate ``s`` of the knot span, the last interval for its
         right end."""
-        t, k = self._knots[axis], self.order
-        return np.searchsorted(t[k + 1:t.size - k - 1], s, side="right") + k
+        return np.searchsorted(self._interior[axis], s, side="right") + self.order
 
     def _bases(self, s, ell, top):
         """The d+1 nonzero B-splines of every degree d <= ``top`` at the
@@ -205,21 +204,27 @@ class GridSpline:
         return self._coeffs[key]
 
 
+def _swap_axes(q, rows, cols):
+    """Right-hand sides (rows, cols * c) along one axis as (cols, rows *
+    c) along the other."""
+    return q.reshape(rows, cols, -1).transpose(1, 0, 2).reshape(cols, -1)
+
+
 def _sum_in_order(terms):
     """FITPACK's sum over axis 2 of ``terms`` (g, c, p, n): 0 + t_0 + t_1
     + ..., one term at a time.
 
     ``np.add.reduce`` adds in index order along any axis but the fast one
-    in memory, which is n when n > 1; ``(t_0 + ...) + 0.0`` equals
-    ``(0 + t_0) + ...`` bit for bit, -0.0 included.
+    in memory, which is n when n > 1; for one point the last partial sum
+    of ``np.add.accumulate``, which adds in order along any axis, is
+    taken.  ``(t_0 + ...) + 0.0`` equals ``(0 + t_0) + ...`` bit for bit,
+    -0.0 included.
     """
     if terms.shape[3] > 1:
         v = np.add.reduce(terms, axis=2)
-        v += 0.0
-        return v
-    v = terms[:, :, 0] + 0.0
-    for term in terms.transpose(2, 0, 1, 3)[1:]:
-        v += term
+    else:
+        v = np.add.accumulate(terms, axis=2)[:, :, -1]
+    v += 0.0
     return v
 
 
@@ -229,28 +234,33 @@ def _givens_rotations(basis, first):
 
     Row i has the nonzero entries ``basis[i]`` (k+1 floats) in the
     columns from ``first[i]`` on.  Returns the band of the triangle,
-    diagonal first, as m rows of k+1 floats, and for each row its chain
-    of rotations ``(row, cos, sin)``; a chain that ends in an empty row
-    of the triangle ends in ``(row, sign, None)``.  They depend on the
-    sites alone, so they are found once, on floats, for every field.
+    diagonal first, as an (m, k+1) array, and the rotations in the form
+    ``_rotate`` applies them.  They depend on the sites alone, so
+    they are found once, on floats, for every field.
     """
     m, width = basis.shape
     band = [[0.0] * width for _ in range(m)]
     chains = []
     for row, start in zip(basis.tolist(), first.tolist()):
-        chain = []
+        chain = []  # [triangle row, cos, sin, t, whether it fills the next row]
         for i, piv in enumerate(row):
+            irot = start + i
             if piv == 0.0:
+                if chain:  # FITPACK skips it: the data row passes unchanged
+                    chain.append([irot, 1.0, 0.0, 1.0, False])
                 continue
-            tri = band[start + i]
+            tri = band[irot]
             ww = tri[0]
             if ww == 0.0:
-                # An empty triangle row (cos = 0) takes the rest of the
-                # data row whole and leaves no pivot behind.
+                # An empty triangle row (cos 0, sin +-1) takes the rest
+                # of the data row whole and leaves no pivot behind.
                 sign = 1.0 if piv > 0.0 else -1.0
                 tri[0] = abs(piv)
                 tri[1:width - i] = [sign * h + 0.0 for h in row[i + 1:]]
-                chain.append((start + i, sign, None))
+                if chain:
+                    chain[-1][3:] = sign, True
+                else:
+                    chain.append([irot, 0.0, sign, 1.0, False])
                 break
             store = abs(piv)
             if store >= ww:
@@ -263,72 +273,78 @@ def _givens_rotations(basis, first):
                 b, h = tri[j - i], row[j]
                 tri[j - i] = cos * b + sin * h
                 row[j] = cos * h - sin * b
-            chain.append((start + i, cos, sin))
+            chain.append([irot, cos, sin, 1.0, False])
         chains.append(chain)
-    return band, chains
+    # A rotation at triangle row j takes (q_j, x), the row's right-hand
+    # side and the data row on its way down, to (cos q_j + sin x,
+    # t (cos x - sin q_j)), as FITPACK's fprota for t = 1, and x moves on
+    # to row j + 1.  When row j + 1 is empty, FITPACK rotates x into it
+    # by cos 0 and sin t = +-1, which stores 0 * 0 + t x; here the
+    # rotation at j writes t x into row j + 1 itself ("fills" it).
+    # The first rotation of a chain takes x from its data row, so its
+    # coefficients of q_j and of x are kept apart, (m, 2, 1) each.
+    firsts = [chain[0] for chain in chains]
+    q_coefs = np.array([(cos, -t * sin) for _, cos, sin, t, _ in firsts])[..., None]
+    x_coefs = np.array([(sin, t * cos) for _, cos, sin, t, _ in firsts])[..., None]
+    later = iter(list(np.array(
+        [((cos, sin), (-t * sin, t * cos)) for chain in chains
+         for _, cos, sin, t, _ in chain[1:]]).reshape(-1, 2, 2, 1)))
+    rows = [(chain[0][0], chain[0][4], first_q_coefs,
+             [(j, next(later), fills) for j, _, _, _, fills in chain[1:]])
+            for chain, first_q_coefs in zip(chains, q_coefs)]
+    return np.array(band), (rows, x_coefs)
 
 
-def _rotate(chains, rhs):
+def _rotate(rotations, rhs):
     """Apply the rotations of ``_givens_rotations`` to the right-hand
     sides ``rhs`` (m, r), row i of them along chain i.  Returns the
     rotated right-hand sides (m, r)."""
+    rows, x_coefs = rotations
     m, r = rhs.shape
-    # work[j] holds (q_j, the data row on its way into row j); a rotation
-    # of row j writes (q_j, the data row on its way into row j + 1), a
-    # view with a row stride of 3 r.  Every view is made once.
+    # work[j] holds (q_j, the data row on its way into row j).  A rotation
+    # at row j writes (q_j, the data row on its way into row j + 1), or
+    # (q_j, q_j+1) when it fills row j + 1: into[False] and into[True],
+    # views with row strides of 3 r and 2 r.  Every view is made once.
     work = np.zeros((m + 1, 2, r))
-    q, carry = list(work[:, 0]), list(work[:, 1])
-    pairs = list(work)
-    into = list(np.lib.stride_tricks.as_strided(
-        work, shape=(m, 2, r), strides=(2 * r * 8, 3 * r * 8, 8)))
-    coefs = iter(list(np.array([[[cos, sin], [-sin, cos]] for chain in chains
-                                for _, cos, sin in chain if sin is not None])[..., None]))
+    s0, s1, s2 = work.strides
+    into = (list(np.lib.stride_tricks.as_strided(work, (m, 2, r), (s0, s0 + s1, s2))),
+            list(np.lib.stride_tricks.as_strided(work, (m, 2, r), (s0, s0, s2))))
+    q, pairs = list(work[:, 0]), list(work)
+    # The first rotations' products with the data rows, all at once
+    data_terms = list(x_coefs * rhs[:, None])
     prod = np.empty((2, 2, r))
-    lead, follow = prod[:, 0], prod[:, 1]
-    multiply, add, subtract, copyto = np.multiply, np.add, np.subtract, np.copyto
-    for chain, data in zip(chains, rhs):
-        at = chain[0][0]
-        copyto(carry[at], data)
-        for irot, cos, sin in chain:
-            if irot != at:  # a zero pivot was skipped
-                copyto(carry[irot], carry[at])
-            if sin is None:
-                # An empty row: ``cos`` holds the pivot's sign, and FITPACK's
-                # 0 * 0 + sign * x is +-x with -0.0 turned to +0.0.
-                if cos > 0.0:
-                    add(carry[irot], 0.0, q[irot])
-                else:
-                    subtract(0.0, carry[irot], q[irot])
-                break
-            # (cos q + sin x, -sin q + cos x), as FITPACK's fprota
-            multiply(pairs[irot], next(coefs), prod)
-            add(lead, follow, into[irot])
-            at = irot + 1
+    from_q, from_x = prod[:, 0], prod[:, 1]
+    multiply, add = np.multiply, np.add
+    for (j, fills, q_coefs, later), x_terms in zip(rows, data_terms):
+        multiply(q[j], q_coefs, from_q)
+        add(from_q, x_terms, into[fills][j])
+        for j, coefs, fills in later:
+            multiply(pairs[j], coefs, prod)
+            add(from_q, from_x, into[fills][j])
     return work[:m, 0]
 
 
 def _back_substitute(band, q):
-    """Solve the banded upper-triangular system ``band`` (rows of k+1
-    floats, diagonal first) for the right-hand sides ``q`` (m, r), from
-    the last row up (FITPACK's ``fpback``)."""
-    m, width = len(band), len(band[0])
+    """Solve the banded upper-triangular system ``band`` (m, k+1),
+    diagonal first, for the right-hand sides ``q`` (m, r), from the last
+    row up (FITPACK's ``fpback``)."""
+    m, width = band.shape
     r = q.shape[1]
-    c = np.empty((m + width, r))  # rows past m stay zero: the band's end
-    c[m:] = 0.0
-    # work[i] = (q_i, then the products that row i subtracts from it, in
-    # turn); the windows of c and of work are views made once.
-    work = np.empty((m, width, r))
-    work[:, 0] = q
+    c = np.zeros((m + width, r))  # rows past m stay zero: the band's end
+    # terms[i] = (q_i, then the band's entries of row i, which become the
+    # products that row i subtracts from q_i, in turn); every operand is
+    # a contiguous (.., r) block, and every view is made once.
+    terms = np.empty((m, width, r))
+    terms[:, 0] = q
+    terms[:, 1:] = band[:, 1:, None]
     after = list(np.lib.stride_tricks.as_strided(
         c[1:], shape=(m, width - 1, r), strides=(c.strides[0],) + c.strides))
-    products = list(work[:, 1:])
-    terms = list(work)
-    rows = list(c)
-    coefs = list(np.array(band)[:, 1:, None])
-    diagonal = [row[0] for row in band]
+    diagonal = list(np.repeat(band[:, :1], r, axis=1))
+    products, rows = list(terms[:, 1:]), list(c)
+    terms = list(terms)
     store = np.empty(r)
     for i in range(m - 1, -1, -1):
-        np.multiply(after[i], coefs[i], products[i])
+        np.multiply(after[i], products[i], products[i])
         np.subtract.reduce(terms[i], axis=0, out=store)  # in order
         np.divide(store, diagonal[i], rows[i])
     return c[:m]

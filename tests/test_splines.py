@@ -145,12 +145,11 @@ def test_bad_input_raises():
         spline(np.zeros(3))
 
 
-def test_a_batch_longer_than_a_block_is_evaluated_in_blocks(rng):
-    grid = grids(5)[2]
-    spline = GridSpline(grid, field(grid.x1, grid.x2), 5)
-    n = 2 * splines._BLOCK + 3
-    pts = np.column_stack([rng.uniform(-0.8, 0.8, n), rng.uniform(0.2, 2.1, n)])
-    whole = spline(pts, *GRADIENT)
-    for lo, hi in [(0, 5), (n - 4, n), (splines._BLOCK - 2, splines._BLOCK + 2)]:
-        for got, want in zip(spline(pts[lo:hi], *GRADIENT), whole):
-            assert np.array_equal(got, want[lo:hi])
+def test_fit_passes_a_zero_pivot_and_fills_empty_rows():
+    # Row 2 meets a zero pivot in triangle row 1, which FITPACK skips,
+    # then fills the empty row 2; rows 0 and 1 fill empty rows at once.
+    a = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 2.0]])
+    z = np.array([[1.0, -2.0], [0.5, 4.0], [-3.0, 0.25]])
+    band, rotations = splines._givens_rotations(a, np.zeros(3, dtype=int))
+    c = splines._back_substitute(band, splines._rotate(rotations, z))
+    assert np.allclose(c, np.linalg.solve(a, z), rtol=1e-14, atol=1e-15)

@@ -316,6 +316,16 @@ def eigenvalue_sufficient(surface, constants, x0):
     )
 
 
+def _median(values):
+    """``np.median`` of a 1-D array, bit for bit, without the import of
+    ``numpy.ma`` that ``np.median`` makes on its first call."""
+    k = values.size // 2
+    if values.size % 2:
+        return np.partition(values, k)[k]
+    part = np.partition(values, (k - 1, k))
+    return (part[k - 1] + part[k]) / 2
+
+
 def footprint_fold_check(midfield):
     """Detect self-overlap of the Q footprint via its grid Jacobian."""
     q = midfield.Q
@@ -324,8 +334,14 @@ def footprint_fold_check(midfield):
     det = dq1[..., 0] * dq2[..., 1] - dq1[..., 1] * dq2[..., 0]
     if det.size == 0:
         return
+    bad = np.count_nonzero(~np.isfinite(det))
+    if bad:
+        raise NonInjectiveFootprint(
+            f"footprint Jacobian determinant is not finite at {bad} of "
+            f"{det.size} interior nodes"
+        )
     tol = 1e-10
-    scale = max(float(np.median(np.abs(det))), tol)
+    scale = max(float(_median(np.abs(det).ravel())), tol)
     if np.min(det) * np.max(det) <= 0.0 or np.min(np.abs(det)) < tol * scale:
         raise NonInjectiveFootprint(
             f"footprint Jacobian determinant crosses zero "

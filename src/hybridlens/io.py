@@ -2,27 +2,246 @@
 
 Floats are written with 17 significant digits ("%.17g", C locale) so a
 written-and-reloaded design is bit-equal to the original.  The CSV bytes
-equal ``np.savetxt(fmt="%.17g", delimiter=",", comments="")``; the
-writer formats each distinct 64-bit value of a column once, since grid
-columns and symmetric designs repeat most of their values.
+equal ``np.savetxt(fmt="%.17g", delimiter=",", comments="")``.  The
+writer formats a block of rows at a time with array code:
+
+- digits: the 17-digit integer ``D`` and decimal exponent ``p`` of each
+  finite value with 1e-280 <= |x| <= 1e280 come from ``x * 10**(16 - p)``
+  in double-double arithmetic (Dekker's product against a two-double
+  table of the powers of ten, built from exact integers), rounded half
+  to even.  A value whose scaled fraction lies within ``_TIE_WINDOW`` of
+  one half, or whose ``p`` does not settle after one correction, or that
+  lies outside that range, is formatted by Python's ``%`` instead;
+- layout: each value is gathered into a fixed-width byte row from a
+  pattern keyed by its sign, notation ("%g" takes fixed notation for
+  -4 <= p < 17), ``p`` and count of significant digits.  Zeros,
+  infinities and nan have patterns of their own;
+- rows: the separator follows each value's text, and one boolean mask
+  keeps the valid bytes of the block.
 """
 
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 
-def _format_column(col):
-    """The "%.17g" text of every value, formatting each bit pattern once.
+#: Rows formatted per pass.  It bounds the writer's temporary arrays
+#: (about 300 bytes per value) whatever the size of the file; a block of
+#: a 6-column file then fits in a 2 MB cache.
+_BLOCK_ROWS = 1024
+#: Longest "%.17g" text of a float64: "-2.2250738585072014e-308".
+_WIDTH = 24
 
-    Keyed on the bits rather than the value so -0.0 keeps its sign.
-    """
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    values = tuple(bits.view(np.float64).tolist())
-    # one % over all values costs less than one % per value
-    text = ("%.17g\n" * len(values) % values).splitlines()
-    return np.array(text, dtype=object)[inverse].tolist()
+# Columns of the 32-byte source row from which each value's text is
+# gathered.  Columns 0-15 hold digits 2-17 of the value, or, for a value
+# formatted by Python, its text (at most _WIDTH bytes, so it ends before
+# _SEP).  Digits are written 4 bytes at a time, and the separator with
+# the constants as one 8-byte word.
+_EXPONENT = 16       # 16-19: "0ddd", the absolute decimal exponent
+_ZERO = _EXPONENT    # so a "0" (the exponent is below 1000)
+_LEAD = 20           # the first digit
+_EXPONENT_SIGN = 21
+_SEP = 24            # "," or "\n"
+_CONSTANTS = b"-.einfa"
+_MINUS, _DOT, _E, _I, _N, _F, _A = range(_SEP + 1, _SEP + 1 + len(_CONSTANTS))
+_SOURCE_WIDTH = 32
+
+# Layout modes.  Modes 0-20 are fixed notation with exponent p = mode - 4.
+_EXP2, _EXP3 = 21, 22            # exponent notation, 2 or 3 exponent digits
+_ZERO_MODE, _INF, _NAN = 23, 24, 25
+_PYTHON = 26                     # Python's text; its count is its length
+_MODES = 27
+_COUNTS = _WIDTH + 1             # also the width of a laid-out value
+
+#: A scaled value this close to a rounding tie is left to Python.
+_TIE_WINDOW = 1e-9
+#: Magnitudes the array path takes: within them no product of the
+#: double-double scaling overflows or underflows.
+_LOWEST, _HIGHEST = 1e-280, 1e280
+# Scalings 10**q for q = 16 - p, p = floor(log10|x|) +- 1.
+_Q_MIN, _Q_MAX = 16 - 281, 16 + 281
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of at most 26 bits."""
+    t = _VELTKAMP * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _powers_of_ten():
+    """Rows hi, lo, hi's two halves: 10**q = hi + lo to about 2**-106,
+    for q in [_Q_MIN, _Q_MAX], each part rounded from exact integers."""
+    hi, lo = [], []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        if q >= 0:
+            exact = 10**q
+            hi.append(float(exact))
+            lo.append(float(exact - int(hi[-1])))
+        else:
+            d = 10**-q
+            hi.append(1 / d)  # int / int rounds correctly
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * d) / (den * d))
+    hi = np.array(hi)
+    return np.stack([hi, np.array(lo), *_split(hi)])
+
+
+def _layout(sign, mode, count):
+    """The source columns that spell one value of the given key."""
+    digits = [_LEAD, *range(16)]
+    if mode < _EXP2:
+        p = mode - 4
+        if p < 0:
+            cols = [_ZERO, _DOT] + [_ZERO] * (-p - 1) + digits[:count]
+        else:
+            cols = digits[:p + 1]
+            if count > p + 1:
+                cols += [_DOT] + digits[p + 1:count]
+    elif mode <= _EXP3:
+        cols = digits[:1] + ([_DOT] + digits[1:count] if count > 1 else [])
+        cols += [_E, _EXPONENT_SIGN]
+        cols += list(range(_EXPONENT + (2 if mode == _EXP2 else 1), _EXPONENT + 4))
+    elif mode == _ZERO_MODE:
+        cols = [_ZERO]
+    elif mode == _INF:
+        cols = [_I, _N, _F]
+    elif mode == _NAN:
+        return [_N, _A, _N]  # "%g" drops the sign of a nan
+    else:
+        return list(range(count))
+    return [_MINUS] * sign + cols
+
+
+def _layouts():
+    """Rows of source columns and of the bytes to keep, one per key
+    (sign * _MODES + mode) * _COUNTS + count.  Each text is followed by
+    the separator, which also fills the rest of its row."""
+    patterns = np.full((2, _MODES, _COUNTS, _COUNTS), _SEP, dtype=np.intp)
+    lengths = np.zeros((2, _MODES, _COUNTS, 1), dtype=np.intp)
+    for sign in (0, 1):
+        for mode in range(_MODES):
+            if mode <= _EXP3:
+                counts = range(1, 18)
+            else:
+                counts = range(1, _COUNTS) if mode == _PYTHON else (1,)
+            for count in counts:
+                cols = _layout(sign, mode, count)
+                patterns[sign, mode, count, :len(cols)] = cols
+                lengths[sign, mode, count] = len(cols)
+    keep = np.arange(_COUNTS) <= lengths
+    return patterns.reshape(-1, _COUNTS), keep.reshape(-1, _COUNTS)
+
+
+def _four_digit_tables():
+    """For g in [0, 10**4): its 4 ASCII digits as one uint32, and the
+    length of "%04d" % g without its trailing zeros."""
+    g = np.arange(10**4)
+    digits = (g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
+    trailing = sum(g % 10**k == 0 for k in range(1, 5))
+    return digits.astype(np.uint8).view(np.uint32).ravel(), 4 - trailing
+
+
+@functools.cache
+def _tables():
+    """The writer's constant tables, built on its first call (a few ms)
+    so that importing the package does not pay for them."""
+    tables = (_powers_of_ten(), *_layouts(), *_four_digit_tables())
+    for table in tables:
+        table.flags.writeable = False  # shared by every later call
+    return tables
+
+
+def _scaled(pow10, a, p):
+    """``D = round(a * 10**(16 - p))`` (int64) and ``V - D`` (float),
+    ``V`` the exact product, to an error far below _TIE_WINDOW."""
+    hi, lo, hh, hl = np.take(pow10, 16 - p - _Q_MIN, axis=1)
+    ah, al = _split(a)
+    ph = a * hi
+    pl = ((ah * hh - ph) + ah * hl + al * hh) + al * hl  # a * hi == ph + pl
+    rest = pl + a * lo
+    # |ph| >= 2**53 wherever the result is kept, so ph is an even integer
+    near = np.rint(rest)
+    return ph.astype(np.int64) + near.astype(np.int64), rest - near
+
+
+def _below(d, frac):
+    """The scaled value is under 10**16: p was one too large."""
+    return (d < 10**16) | (d == 10**16) & (frac < 0)
+
+
+def _digits(pow10, a):
+    """For each a in [_LOWEST, _HIGHEST]: the decimal exponent p and the
+    17-digit integer D (int64) of its "%.17g" text, and whether a lies too
+    near a rounding tie for D to be trusted."""
+    p = np.floor(np.log10(a)).astype(np.int64)
+    d, frac = _scaled(pow10, a, p)
+    off = np.flatnonzero(_below(d, frac) | (d > 10**17))
+    if off.size:
+        p[off] += np.where(d[off] > 10**17, 1, -1)
+        d[off], frac[off] = _scaled(pow10, a[off], p[off])
+        # p still off: marked as a tie, so that Python formats it
+        frac[off[_below(d[off], frac[off]) | (d[off] > 10**17)]] = 0.5
+    carry = d == 10**17  # rounding up reached the next power of ten
+    d[carry] = 10**16
+    return p + carry, d, np.abs(frac) > 0.5 - _TIE_WINDOW
+
+
+def _format_block(x, sep_words):
+    """The text of rows ``x`` (2-D), each value "%.17g" and followed by
+    the separator of its column.  ``sep_words`` holds, per column, its
+    separator and then _CONSTANTS as one uint64."""
+    pow10, patterns, keep, digits4, significant4 = _tables()
+    n = x.size
+    flat = x.ravel()
+    mag = np.abs(flat)
+    fast = (mag >= _LOWEST) & (mag <= _HIGHEST)
+    p, d, near_tie = _digits(pow10, np.where(fast, mag, 1.0))
+
+    head = (d // 10**8).astype(np.int32)  # the first 9 digits
+    tail = (d - head.astype(np.int64) * 10**8).astype(np.int32)
+    top, g2 = np.divmod(head, 10**4)
+    lead, g1 = np.divmod(top, 10**4)
+    g3, g4 = np.divmod(tail, 10**4)
+    # count: the significant digits of D, its trailing zeros dropped
+    count = np.take(significant4, g1)
+    for shift, g in ((4, g2), (8, g3), (12, g4)):
+        count = np.where(g != 0, shift + np.take(significant4, g), count)
+    count += 1
+
+    src = np.empty((n, _SOURCE_WIDTH), dtype=np.uint8)
+    words = src.view(np.uint32)
+    for i, g in enumerate((g1, g2, g3, g4)):
+        words[:, i] = np.take(digits4, g)
+    words[:, _EXPONENT // 4] = np.take(digits4, np.abs(p))
+    src[:, _LEAD] = lead + ord("0")
+    src[:, _EXPONENT_SIGN] = np.where(p < 0, ord("-"), ord("+"))
+    src.view(np.uint64)[:, _SEP // 8] = np.tile(sep_words, n // sep_words.size)
+
+    mode = np.where((p < -4) | (p > 16), _EXP2, p + 4)
+    mode[np.abs(p) >= 100] = _EXP3
+    mode[flat == 0] = _ZERO_MODE
+    mode[np.isinf(flat)] = _INF
+    mode[np.isnan(flat)] = _NAN
+    sign = np.signbit(flat)
+    python = np.flatnonzero(np.where(fast, near_tie, np.isfinite(flat) & (flat != 0)))
+    if python.size:
+        text = ("%-24.17g" * python.size % tuple(flat[python].tolist())).encode()
+        text = np.frombuffer(text, dtype=np.uint8).reshape(-1, _WIDTH)
+        src[python, :_WIDTH] = text
+        mode[python] = _PYTHON
+        sign[python] = False
+        count[python] = np.count_nonzero(text != ord(" "), axis=1)
+
+    key = (sign * _MODES + mode) * _COUNTS + count
+    # np.take: far faster than fancy indexing for these gathers
+    index = np.take(patterns, key, axis=0)
+    index += np.arange(0, n * _SOURCE_WIDTH, _SOURCE_WIDTH)[:, None]
+    return np.take(src, index)[np.take(keep, key, axis=0)].tobytes()
 
 
 def write_csv(path, header, columns):
@@ -30,18 +249,45 @@ def write_csv(path, header, columns):
     columns = [np.asarray(c, dtype=float).ravel() for c in columns]
     if any(c.size != columns[0].size for c in columns):
         raise ValueError("columns must have equal length")
-    rows = zip(*[_format_column(c) for c in columns])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    sep_words = np.frombuffer(b"".join(s + _CONSTANTS for s in seps), dtype=np.uint64)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, columns[0].size, _BLOCK_ROWS):
+            rows = np.stack([c[start:start + _BLOCK_ROWS] for c in columns], axis=1)
+            fh.write(_format_block(rows, sep_words))
 
 
 def read_csv(path):
-    """Read a CSV written by ``write_csv``; returns (header, dict of columns)."""
+    """Read a CSV written by ``write_csv``; returns (header, dict of columns).
+
+    A file whose rows do not parse, or do not match its header, raises
+    ``ConfigError`` naming the file.
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"malformed CSV {path}: {exc}") from exc
+    if data.size and data.shape[1] != len(header):
+        raise ConfigError(f"malformed CSV {path}: {data.shape[1]} columns "
+                          f"under a header of {len(header)}")
     return header, {name: data[:, i] for i, name in enumerate(header)}
+
+
+def _read_grid(path, names, shape):
+    """The columns ``names`` of a CSV, each reshaped to the grid ``shape``;
+    ``ConfigError`` naming the file if it lacks a column or a row."""
+    _, cols = read_csv(path)
+    missing = [name for name in names if name not in cols]
+    if missing:
+        raise ConfigError(f"malformed CSV {path}: no column {missing[0]!r}")
+    rows = cols[names[0]].size
+    if rows != shape[0] * shape[1]:
+        raise ConfigError(f"malformed CSV {path}: {rows} rows, expected "
+                          f"{shape[0]}x{shape[1]} = {shape[0] * shape[1]}")
+    return {name: cols[name].reshape(shape) for name in names}
 
 
 def write_json(path, payload):
@@ -117,22 +363,17 @@ def load_design(in_dir):
     from .snell import OpticalConstants
 
     meta = read_json(Path(in_dir) / "design.json")
-    _, cols = read_csv(Path(in_dir) / "rho.csv")
     shape = tuple(meta["grid"]["shape"])
-    grid = Grid2D(
-        x1=cols["x1"].reshape(shape)[:, 0],
-        x2=cols["x2"].reshape(shape)[0, :],
-    )
+    cols = _read_grid(Path(in_dir) / "rho.csv",
+                      ["x1", "x2", "rho", "z", "drho1", "drho2"], shape)
+    grid = Grid2D(x1=cols["x1"][:, 0], x2=cols["x2"][0, :])
     constants = OpticalConstants(**meta["constants"])
     target_map = BUILTIN_MAPS[meta["map"]["name"]](meta["map"]["params"])
-    drho = np.stack(
-        [cols["drho1"].reshape(shape), cols["drho2"].reshape(shape)], axis=-1
-    )
     return LensDesign(
         grid=grid,
-        rho=cols["rho"].reshape(shape),
-        z=cols["z"].reshape(shape),
-        drho=drho,
+        rho=cols["rho"],
+        z=cols["z"],
+        drho=np.stack([cols["drho1"], cols["drho2"]], axis=-1),
         target_map=target_map,
         constants=constants,
         x0=np.asarray(meta["x0"], dtype=float),
@@ -145,12 +386,11 @@ def load_phase(in_dir, shape):
     from .farfield import PhaseMap
 
     meta = read_json(Path(in_dir) / "phase.json")
-    _, cols = read_csv(Path(in_dir) / "phase.csv")
-    q = np.stack([cols["Q1"].reshape(shape), cols["Q2"].reshape(shape)], axis=-1)
-    grad = np.stack(
-        [cols["dphi_du1"].reshape(shape), cols["dphi_du2"].reshape(shape)], axis=-1
-    )
-    return PhaseMap(Q=q, phi=cols["phi"].reshape(shape), grad_tan=grad,
+    cols = _read_grid(Path(in_dir) / "phase.csv",
+                      ["Q1", "Q2", "phi", "dphi_du1", "dphi_du2"], shape)
+    q = np.stack([cols["Q1"], cols["Q2"]], axis=-1)
+    grad = np.stack([cols["dphi_du1"], cols["dphi_du2"]], axis=-1)
+    return PhaseMap(Q=q, phi=cols["phi"], grad_tan=grad,
                     k=float(meta["k"]), warnings=list(meta["warnings"]))
 
 

@@ -160,6 +160,38 @@ def test_trace_missing_design_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "design.json" in err
 
 
+def _truncate_mid_row(path):
+    """Cut the file inside a row, as an interrupted write would."""
+    text = path.read_bytes()
+    path.write_bytes(text[:len(text) // 2])
+
+
+def _drop_last_rows(path):
+    """Remove whole rows: every column parses, the grid has too few."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-7]))
+
+
+def _rename_first_column(path):
+    text = path.read_bytes()
+    path.write_bytes(b"renamed" + text[text.index(b","):])
+
+
+@pytest.mark.parametrize("name", ["rho.csv", "phase.csv"])
+@pytest.mark.parametrize("damage", [_truncate_mid_row, _drop_last_rows,
+                                    _rename_first_column])
+def test_trace_on_a_malformed_artifact_exit_2_with_one_line(
+        name, damage, dilation_cfg, tmp_path, capsys):
+    assert main(["design-imaging", "--config", dilation_cfg]) == 0
+    out = tmp_path / "out"
+    damage(out / name)
+    capsys.readouterr()
+    assert main(["trace", "--design", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert name in err
+
+
 def test_plot2d_curves(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -382,6 +414,16 @@ assert not loaded, loaded
 print("no scipy")
 """
 
+NUMPY_MA_PROBE = """
+import sys
+import hybridlens.cli as cli
+imaging, farfield, out = sys.argv[1:]
+assert cli.main(["design-imaging", "--config", imaging, "--out", out]) == 0
+assert cli.main(["design-farfield", "--config", farfield, "--out", out]) == 0
+assert "numpy.ma" not in sys.modules
+print("no numpy.ma")
+"""
+
 
 def test_design_and_trace_never_import_scipy(tmp_path):
     """Run in a fresh interpreter, so that no other test's import counts."""
@@ -399,3 +441,30 @@ def test_design_and_trace_never_import_scipy(tmp_path):
         capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().endswith("no scipy")
+
+
+def test_design_commands_never_import_numpy_ma(tmp_path):
+    """``np.median`` imports ``numpy.ma``; no design command needs it."""
+    box = {"box": [[-0.5, 0.5], [-0.5, 0.5]], "n": 31}
+    imaging = write_config(tmp_path, "imaging.json", {
+        "constants": CONSTANTS,
+        "map": {"name": "dilation", "params": {"alpha": 0.2}},
+        "grid": box,
+        "x0": [0.0, 0.0],
+    })
+    farfield = write_config(tmp_path, "farfield.json", {
+        "constants": CONSTANTS,
+        "field": {"name": "point_source", "params": {"source": [0.0, 0.0, -5.0]}},
+        "surface": {"name": "polynomial",
+                    "params": {"coeffs": [[0.5, 0, 0.3], [0, 0, 0], [0.3, 0, 0]]}},
+        "grid": box,
+    })
+    src = str(Path(hybridlens.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, imaging, farfield,
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().endswith("no numpy.ma")

@@ -195,6 +195,27 @@ def test_footprint_fold_detected(grid):
         footprint_fold_check(mid)
 
 
+def test_footprint_with_a_nan_is_rejected(grid):
+    """max(nan, tol) is nan and compares False both ways, so a NaN in Q
+    once passed the fold check silently."""
+    x1, x2 = grid.meshgrid()
+    q = np.stack([x1, x2], axis=-1)
+    q[7, 9, 0] = np.nan  # enters the central differences at 4 nodes
+    mid = MidField(grid=grid, m=np.zeros(q.shape[:2] + (3,)),
+                   d=np.ones(q.shape[:2]), Q=q, rho=np.zeros(q.shape[:2]))
+    with pytest.raises(NonInjectiveFootprint, match="not finite at 4 of 361"):
+        footprint_fold_check(mid)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 6, 361, 400])
+def test_fold_check_median_is_bit_equal_to_np_median(size):
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        values = np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(-8, 8)
+        assert farfield._median(values.copy()).tobytes() == \
+            np.median(values).tobytes()
+
+
 QUAD = polynomial({(0, 0): 0.5, (2, 0): 0.2, (0, 2): 0.3, (1, 1): -0.05})
 
 

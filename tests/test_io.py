@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridlens import io
+from hybridlens.errors import ConfigError
 from hybridlens.farfield import build_phase, midfield_vertical
 from hybridlens.fields import vertical
 
@@ -51,6 +52,81 @@ def test_write_csv_bytes_equal_savetxt(tmp_path, columns):
     _assert_bytes_equal_savetxt(tmp_path, columns)
 
 
+def _random_bit_patterns():
+    """10**5 seeded 64-bit patterns, with the values that a random draw
+    hits rarely or never appended: the ends of the subnormal range, a nan
+    with the sign bit set, both infinities and both zeros."""
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                        size=10**5, dtype=np.int64, endpoint=True)
+    extra = [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+             np.copysign(np.nan, -1.0), np.nan, np.inf, -np.inf, 0.0, -0.0]
+    return np.concatenate([bits.view(np.float64), extra])
+
+
+def _powers_of_two():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    return np.concatenate([powers, -powers])
+
+
+def _ties():
+    """Values m * 2**-k whose exact decimal has 18 significant digits, the
+    last a 5, so that "%.17g" rounds a tie to even (2**-25 ->
+    2.9802322387695312e-08)."""
+    rng = np.random.default_rng(7)
+    values = [2.0**-25]
+    for k in range(2, 26):
+        lo, hi = -(-10**17 // 5**k), min((10**18 - 1) // 5**k, 2**53 - 1)
+        m = rng.integers(lo, hi, size=40, endpoint=True) | 1
+        values += [int(v) / 2**k for v in m if lo <= v <= hi]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def _powers_of_ten():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    around = np.concatenate([tens, np.nextafter(tens, 0.0),
+                             np.nextafter(tens, np.inf)])
+    return np.concatenate([around, -around])
+
+
+def _columns(values, width):
+    values = values[:values.size // width * width]
+    return list(values.reshape(-1, width).T)
+
+
+ARRAY_CASES = {
+    "random 64-bit patterns": lambda: _columns(_random_bit_patterns(), 4),
+    "powers of two": lambda: _columns(_powers_of_two(), 3),
+    "ties m*2^k": lambda: _columns(_ties(), 2),
+    "powers of ten and neighbours": lambda: _columns(_powers_of_ten(), 3),
+}
+
+
+@pytest.mark.parametrize("case", ARRAY_CASES)
+def test_write_csv_bytes_equal_savetxt_on_hard_values(tmp_path, case):
+    _assert_bytes_equal_savetxt(tmp_path, ARRAY_CASES[case]())
+
+
+def test_ties_are_exact_halves():
+    """Each value of the tie case lies exactly half way between two
+    17-digit decimals."""
+    from decimal import Decimal
+
+    for v in _ties():
+        digits = Decimal(float(v)).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, v
+
+
+@pytest.mark.parametrize("rows", [0, 1, io._BLOCK_ROWS - 1, io._BLOCK_ROWS,
+                                  io._BLOCK_ROWS + 1])
+def test_write_csv_bytes_equal_savetxt_at_block_edges(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    _assert_bytes_equal_savetxt(
+        tmp_path, [rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 6)
+                   for _ in range(3)])
+
+
 POOL = [0.0, -0.0, 1.0, -1.0, 1.0 / 3.0, 0.1, np.nan, np.inf, -np.inf,
         5e-324, 1e308]
 
@@ -83,6 +159,15 @@ def test_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         io.write_csv(tmp_path / "bad.csv", ["a", "b"],
                      [np.arange(3.0), np.arange(4.0)])
+
+
+@pytest.mark.parametrize("text", ["a,b\n1,2\n3\n", "a,b\n1,x\n",
+                                  "a,b,c\n1,2\n3,4\n"])
+def test_read_csv_rejects_a_malformed_file_naming_it(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="bad.csv"):
+        io.read_csv(path)
 
 
 def test_json_round_trip(tmp_path):

@@ -11,7 +11,6 @@ tracing.
 
 from .errors import (
     ConfigError,
-    DerivativeUnavailable,
     FeasibilityViolation,
     HybridLensError,
     InvalidIncidence,

@@ -13,7 +13,7 @@ import numpy as np
 from . import farfield, imaging, io, raytrace
 from .config import DesignConfig
 from .errors import ConfigError, HybridLensError
-from .fields import curl_condition, recover_potential, vertical
+from .fields import curl_condition, vertical
 from .geometry import Grid2D
 from .maps import admissibility
 from .reports import combine
@@ -105,18 +105,49 @@ def _trace_samples(grid):
     return np.column_stack([grid.x1[i.ravel()], grid.x2[j.ravel()]])
 
 
+def _refused(args, cfg, name, report, failure):
+    """Unless ``report`` passed or --force is set, write it to verdict.json
+    under ``name``, say ``failure`` on stderr and return True."""
+    if report.passed or args.force:
+        return False
+    io.write_json(_out_dir(args, cfg) / "verdict.json", {name: report.to_dict()})
+    print(f"{failure}; rerun with --force to proceed", file=sys.stderr)
+    return True
+
+
+def _verify_and_write(args, cfg, field, mid, surface, det_check, reports,
+                      target_map=None):
+    """Build the phase over ``mid`` and the lens, trace the
+    ``_trace_samples`` of its grid through them, and write phase.csv,
+    phase.json, trace_report.csv, trace_aggregates.json and verdict.json:
+    ``reports`` (name -> report), ``det_check`` and the phase warnings.
+    Returns the trace report."""
+    phase = farfield.build_phase(field, mid, cfg.constants,
+                                 check_condition=det_check)
+    lens = raytrace.TraceableLens(surface=surface, phase=phase, grid=mid.grid,
+                                  target_map=target_map)
+    report = raytrace.trace_through(
+        lens, field, cfg.constants, _trace_samples(mid.grid),
+        gradient_mode=_mode(args),
+    )
+    out = _out_dir(args, cfg)
+    io.phase_to_files(phase, out, cfg.constants)
+    io.trace_report_to_files(report, out)
+    io.write_json(out / "verdict.json", {
+        **{name: r.to_dict() for name, r in reports.items()},
+        det_check.name: det_check.to_dict(),
+        "phase_warnings": list(phase.warnings),
+    })
+    return report
+
+
 def cmd_design_imaging(args):
     cfg = _load_config(args)
     cfg.require("map", "grid")
-    checks = _run_checks(cfg)
-    pre = combine("pre_checks", checks)
-    if not pre.passed and not args.force:
-        out = _out_dir(args, cfg)
-        io.write_json(out / "verdict.json", {"pre_checks": pre.to_dict()})
-        print(f"pre-checks failed ({pre.details}); rerun with --force to proceed",
-              file=sys.stderr)
+    pre = combine("pre_checks", _run_checks(cfg))
+    if _refused(args, cfg, "pre_checks", pre,
+                f"pre-checks failed ({pre.details})"):
         return EXIT_DOMAIN
-
     design = imaging.solve_rho(
         cfg.target_map, cfg.constants, cfg.grid, _x0(cfg), cfg.z0
     )
@@ -128,31 +159,12 @@ def cmd_design_imaging(args):
     det_check = farfield.sufficient_det_vertical(
         surface, cfg.constants, design.x0
     )
-    phase = farfield.build_phase(
-        vertical(), mid, cfg.constants, check_condition=det_check
-    )
-    lens = raytrace.TraceableLens(
-        surface=surface, phase=phase, grid=design.grid,
+    report = _verify_and_write(
+        args, cfg, vertical(), mid, surface, det_check,
+        {"pre_checks": pre, "existence_verdict": verdict},
         target_map=design.target_map,
     )
-    report = raytrace.trace_through(
-        lens, vertical(), cfg.constants, _trace_samples(cfg.grid),
-        gradient_mode=_mode(args),
-    )
-
-    out = _out_dir(args, cfg)
-    io.design_to_files(design, out)
-    io.phase_to_files(phase, out, cfg.constants)
-    io.trace_report_to_files(report, out)
-    io.write_json(
-        out / "verdict.json",
-        {
-            "pre_checks": pre.to_dict(),
-            "existence_verdict": verdict.to_dict(),
-            "sufficient_det_vertical": det_check.to_dict(),
-            "phase_warnings": list(phase.warnings),
-        },
-    )
+    io.design_to_files(design, _out_dir(args, cfg))
     print(f"existence verdict: {'pass' if verdict.passed else 'fail'} "
           f"({verdict.details}); max landing error "
           f"{report.aggregates.get('max_landing_error'):.3e}")
@@ -163,45 +175,16 @@ def cmd_design_farfield(args):
     cfg = _load_config(args)
     cfg.require("field", "surface", "grid")
     cfg.require_lens()
-    curl = curl_condition(cfg.incident_field, cfg.grid, cfg.tolerances["curl"])
-    if not curl.passed and not args.force:
-        out = _out_dir(args, cfg)
-        io.write_json(out / "verdict.json", {"curl_condition": curl.to_dict()})
-        print("curl condition failed; rerun with --force to proceed",
-              file=sys.stderr)
+    field = cfg.incident_field
+    curl = curl_condition(field, cfg.grid, cfg.tolerances["curl"])
+    if _refused(args, cfg, "curl_condition", curl, "curl condition failed"):
         return EXIT_DOMAIN
-    x0 = _x0(cfg)
-    mid = farfield.midfield_general(
-        cfg.incident_field, cfg.surface, cfg.constants, cfg.grid
-    )
+    mid = farfield.midfield_general(field, cfg.surface, cfg.constants, cfg.grid)
     det_check = farfield.sufficient_det_general(
-        cfg.incident_field, cfg.surface, cfg.constants, x0
+        field, cfg.surface, cfg.constants, _x0(cfg)
     )
-    h_grid = None
-    if cfg.incident_field.potential is None:
-        h_grid, _ = recover_potential(cfg.incident_field, cfg.grid, x0)
-    phase = farfield.build_phase(
-        cfg.incident_field, mid, cfg.constants, h_grid=h_grid,
-        check_condition=det_check,
-    )
-    lens = raytrace.TraceableLens(
-        surface=cfg.surface, phase=phase, grid=cfg.grid, target_map=None
-    )
-    report = raytrace.trace_through(
-        lens, cfg.incident_field, cfg.constants, _trace_samples(cfg.grid),
-        gradient_mode=_mode(args),
-    )
-    out = _out_dir(args, cfg)
-    io.phase_to_files(phase, out, cfg.constants)
-    io.trace_report_to_files(report, out)
-    io.write_json(
-        out / "verdict.json",
-        {
-            "curl_condition": curl.to_dict(),
-            "sufficient_det_general": det_check.to_dict(),
-            "phase_warnings": list(phase.warnings),
-        },
-    )
+    report = _verify_and_write(args, cfg, field, mid, cfg.surface, det_check,
+                               {"curl_condition": curl})
     print(f"max exit-direction error "
           f"{report.aggregates['max_direction_error']:.3e}")
     return EXIT_OK if curl.passed and det_check.passed else EXIT_DOMAIN

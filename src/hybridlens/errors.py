@@ -37,10 +37,6 @@ class NonPositiveDepth(HybridLensError):
     """A ray would have to travel a non-positive distance inside the lens."""
 
 
-class DerivativeUnavailable(HybridLensError):
-    """The field has no potential h where a computation needs one."""
-
-
 class SingularHessian(HybridLensError):
     """The surface Hessian is singular where an invertible one is required."""
 

@@ -4,7 +4,10 @@ determinants, and construction of the metasurface phase.
 The phase that straightens all rays to (0,0,1) is phi(Q(x)) = k f(x)
 with f = h/kappa1 + rho/kappa1 + d; its tangential gradient equals
 k (m1, m2), and a nonzero determinant of the second-order matrix built
-from the field and the lower face guarantees phi exists locally.
+from the field and the lower face guarantees phi exists locally.  The
+potential h is the field's closed form when it has one, else it is
+recovered from e' by ``fields.recover_potential``; D^2 h is always the
+e' rows of the field's Jacobian, since grad h = e'.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -13,12 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DerivativeUnavailable,
     MissedSurface,
     NonInjectiveFootprint,
     NonPositiveDepth,
     SingularHessian,
 )
+from .fields import recover_potential
 from .geometry import (
     FDStencil,
     Grid2D,
@@ -188,24 +191,16 @@ def sufficient_det_general(field, surface, constants, x0):
     D^2 h + (1 - kappa1 e.m) D^2 rho
       - kappa1 (D rho (x) (m De) + (m De) (x) D rho)
       - kappa1 rho (D(m De) - De (x) Dm) + kappa1 d Dm (x) Dm
-    with every derivative analytic when available, nested central
-    differences otherwise (the D(m De) term is third-derivative
+    with D^2 h the e' rows of De (grad h = e'), so the field needs no
+    potential; every derivative is analytic when available, nested
+    central differences otherwise (the D(m De) term is third-derivative
     territory and sets the noise budget for the tolerance).  Rays are
     traced in three batches: x0, the Jacobian's stencil of (rho, m,
     m De) and the Hessian's stencil of rho.
     """
     k1 = constants.kappa1
     x0 = np.asarray(x0, dtype=float)
-    if field.potential is None:
-        raise DerivativeUnavailable(
-            "field has no potential h; run the curl test and supply one"
-        )
     stencil = FDStencil(1e-4, 1e-4, order=4)
-    if field.hess_potential is not None:
-        d2h = batch_eval(field.hess_potential, x0, (2, 2),
-                         f"field {field.name!r} hess_potential")
-    else:
-        d2h = fd_hessian(field.potential, x0, stencil)
 
     def trace(x):
         return ray_to_metasurface(field, surface, constants, x)
@@ -224,7 +219,7 @@ def sufficient_det_general(field, surface, constants, x0):
     d2rho = fd_hessian(lambda x: trace(x)[0], x0, stencil)
 
     matrix = (
-        d2h
+        de0[:2]
         + (1.0 - k1 * float(np.dot(e0, m0))) * d2rho
         - k1 * (outer(drho, mde0) + outer(mde0, drho))
         - k1 * rho0 * (d_mde - de0.T @ dm)
@@ -349,26 +344,24 @@ def footprint_fold_check(midfield):
         )
 
 
-def build_phase(field, midfield, constants, h_grid=None, check_condition=None):
+def build_phase(field, midfield, constants, check_condition=None):
     """Sample the phase phi = k f on the metasurface footprint.
 
-    ``h_grid`` supplies the potential on the grid when the field has no
-    closed-form one (e.g. output of ``recover_potential``).  The additive
+    The potential h is the field's closed form when it has one; else
+    ``recover_potential`` integrates e' from the patch-center node,
+    raising ``NotIntegrable`` if e' is not a gradient.  The additive
     constant is pinned so phi vanishes at the patch-center sample.
     ``check_condition`` may carry a failed sufficient-determinant report,
     in which case construction proceeds with an attached warning.
     """
     grid = midfield.grid
-    k1 = constants.kappa1
-    if h_grid is None:
-        if field.potential is None:
-            raise DerivativeUnavailable(
-                "no potential available; pass h_grid from recover_potential"
-            )
-        h_grid = batch_eval(field.potential, grid.nodes(), (),
-                            f"field {field.name!r} potential").reshape(grid.shape)
-    f = (np.asarray(h_grid, dtype=float) + midfield.rho) / k1 + midfield.d
     n1, n2 = grid.shape
+    if field.potential is not None:
+        h = batch_eval(field.potential, grid.nodes(), (),
+                       f"field {field.name!r} potential").reshape(grid.shape)
+    else:
+        h, _ = recover_potential(field, grid, grid.node(n1 // 2, n2 // 2))
+    f = (h + midfield.rho) / constants.kappa1 + midfield.d
     phi = constants.k * (f - f[n1 // 2, n2 // 2])
     footprint_fold_check(midfield)
     warnings = []

@@ -3,7 +3,9 @@
 A field assigns to every source point x in the plane a unit direction
 e(x) = (e'(x), e3(x)) with e3 > 0.  A collimated beam leaves the lens
 along (0,0,1) only if e' is a gradient; ``curl_condition`` measures the
-scalar curl of e' and ``recover_potential`` rebuilds h with grad h = e'.
+scalar curl of e' and ``recover_potential`` rebuilds h with grad h = e'
+for a field that gives no closed-form h.  Since grad h = e', D^2 h is
+the e' rows of the Jacobian De, so no field supplies it separately.
 """
 
 from dataclasses import dataclass
@@ -29,16 +31,14 @@ class IncidentField:
     Every callback takes points (..., 2), a single point being the
     batch ``()``: ``e`` gives directions (..., 3); ``jac``, the Jacobian
     of e, gives (..., 3, 2); ``potential``, h with grad h = e' when known
-    in closed form, gives (...); ``hess_potential``, D^2 h, gives
-    (..., 2, 2).  A callback that returns another shape makes the call
-    that uses it raise ``ValueError``.
+    in closed form, gives (...).  A callback that returns another shape
+    makes the call that uses it raise ``ValueError``.
     """
 
     name: str
     e: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hess_potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def direction(self, x):
         x = np.asarray(x, dtype=float)
@@ -67,7 +67,6 @@ def vertical():
         e=lambda x: constant_over(x, [0.0, 0.0, 1.0]),
         jac=lambda x: constant_over(x, np.zeros((3, 2))),
         potential=lambda x: constant_over(x, 0.0),
-        hess_potential=lambda x: constant_over(x, np.zeros((2, 2))),
     )
 
 
@@ -82,7 +81,6 @@ def collimated(direction):
         e=lambda x, d=d: constant_over(x, d),
         jac=lambda x: constant_over(x, np.zeros((3, 2))),
         potential=lambda x, d=d: d[0] * x[..., 0] + d[1] * x[..., 1],
-        hess_potential=lambda x: constant_over(x, np.zeros((2, 2))),
     )
 
 
@@ -117,12 +115,7 @@ def point_source(source):
         j[..., 2, :] = r[2] * u / ell3
         return j
 
-    def d2h(x):
-        return jac(x)[..., :2, :]
-
-    return IncidentField(
-        name="point_source", e=evaluate, jac=jac, potential=h, hess_potential=d2h
-    )
+    return IncidentField(name="point_source", e=evaluate, jac=jac, potential=h)
 
 
 def curl_condition(field, grid, tol):

@@ -11,7 +11,7 @@ integrating in both axis orders.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,7 +145,6 @@ class LensDesign:
     x0: np.ndarray
     z0: float
     path_residual: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def node_state(self, i, j):
         """(x, z) at a grid node."""

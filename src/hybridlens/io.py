@@ -262,10 +262,15 @@ def read_csv(path):
     """Read a CSV written by ``write_csv``; returns (header, dict of columns).
 
     A file whose rows do not parse, or do not match its header, raises
-    ``ConfigError`` naming the file.
+    ``ConfigError`` naming the file.  A file of the header alone gives
+    empty columns.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
+        rows = fh.tell()
+        if not fh.readline():
+            return header, {name: np.empty(0) for name in header}
+        fh.seek(rows)
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:

@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 
 from hybridlens import farfield
 from hybridlens.errors import (
-    DerivativeUnavailable,
     MissedSurface,
     NonInjectiveFootprint,
     NonPositiveDepth,
@@ -26,11 +25,20 @@ from hybridlens.farfield import (
     sufficient_det_vertical,
 )
 from hybridlens.fields import IncidentField, collimated, point_source, vertical
-from hybridlens.geometry import Grid2D
+from hybridlens.geometry import FDStencil, Grid2D, fd_jacobian
 from hybridlens.raytrace import TraceableLens, trace_through
 from hybridlens.reports import ConditionReport
 from hybridlens.snell import refract_standard
 from hybridlens.surfaces import flat, from_design, polynomial
+
+
+#: The lower face of the far-field configs: r = 0.5 + 0.3 x1^2 + 0.3 x2^2.
+FACE = polynomial({(0, 0): 0.5, (2, 0): 0.3, (0, 2): 0.3})
+
+
+def e_only(field):
+    """``field`` given by its directions alone: no jac, no potential."""
+    return IncidentField("e_only", field.e)
 
 
 @pytest.fixture
@@ -170,12 +178,19 @@ class TestBuildPhase:
         assert len(phase.warnings) == 1
         assert "det A = 0" in phase.warnings[0]
 
-    def test_requires_potential_or_grid(self, dilation_design, constants):
-        d = dilation_design
-        mid = midfield_vertical(d.grid, d.rho, d.drho, constants)
-        bare = IncidentField("bare", lambda x: np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(DerivativeUnavailable):
-            build_phase(bare, mid, constants)
+    @pytest.mark.parametrize("full, tol", [
+        (point_source((0.3, -0.2, -4.0)), 1e-12),
+        (collimated((0.1, 0.05, 1.0)), 1e-15),
+    ], ids=["point_source", "collimated"])
+    def test_recovers_the_potential_of_a_field_given_by_e(self, constants,
+                                                           full, tol):
+        grid = Grid2D.from_box(((-0.5, 0.5), (-0.5, 0.5)), 101)
+        phi = {}
+        for field in (full, e_only(full)):
+            mid = midfield_general(field, FACE, constants, grid)
+            phi[field.name] = build_phase(field, mid, constants).phi
+        assert phi["e_only"][50, 50] == 0.0
+        assert np.max(np.abs(phi["e_only"] - phi[full.name])) < tol
 
     def test_single_point_potential_rejected(self, dilation_design, constants):
         d = dilation_design
@@ -247,10 +262,33 @@ class TestSufficientDets:
         assert math.isfinite(report.margins["det"])
 
     @pytest.mark.parametrize("field", [
+        point_source((0.3, -0.2, -4.0)),
+        e_only(point_source((0.3, -0.2, -4.0))),
+        collimated((0.1, 0.05, 1.0)),
+    ], ids=["point_source", "e_only", "collimated"])
+    def test_general_det_is_that_of_the_footprint_and_exit_jacobians(
+            self, constants, field):
+        """An independent check of the assembly, D^2 h included: the
+        determinant equals kappa1^2 det DQ det Dm', with the Jacobians of
+        the footprint Q and of the tangential direction m' taken by
+        central differences of the traced rays."""
+        def q_and_m(x):
+            _, m, _, q = ray_to_metasurface(field, FACE, constants, x)
+            return np.concatenate([q, m[..., :2]], axis=-1)
+
+        for x0 in ([0.0, 0.0], [0.1, -0.2], [0.3, 0.1]):
+            x0 = np.array(x0)
+            det = sufficient_det_general(field, FACE, constants,
+                                         x0).margins["det"]
+            j = fd_jacobian(q_and_m, x0, FDStencil(1e-4, 1e-4, order=4))
+            expected = (constants.kappa1**2 * np.linalg.det(j[:2])
+                        * np.linalg.det(j[2:]))
+            assert det == pytest.approx(expected, rel=1e-5)
+
+    @pytest.mark.parametrize("field", [
         vertical(),
         point_source((0.0, 0.0, -5.0)),
-        dataclasses.replace(point_source((0.0, 0.0, -5.0)), jac=None,
-                            hess_potential=None),
+        dataclasses.replace(point_source((0.0, 0.0, -5.0)), jac=None),
     ], ids=["vertical", "point_source", "point_source_fd"])
     def test_general_traces_its_stencil_in_three_batches(self, constants,
                                                          field, monkeypatch):
@@ -265,10 +303,17 @@ class TestSufficientDets:
         # the anchor, then the Jacobian's 8 and the Hessian's 9 points
         assert calls == [(2,), (8, 2), (9, 2)]
 
-    def test_general_needs_potential(self, constants):
-        bare = IncidentField("bare", lambda x: np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(DerivativeUnavailable):
-            sufficient_det_general(bare, QUAD, constants, np.zeros(2))
+    @pytest.mark.parametrize("full, rel", [
+        (point_source((0.3, -0.2, -4.0)), 1e-6),
+        (collimated((0.1, 0.05, 1.0)), 1e-14),
+    ], ids=["point_source", "collimated"])
+    def test_general_needs_only_the_directions(self, constants, full, rel):
+        """D^2 h is the e' rows of De: a field without potential or jac
+        gets the determinant of the full field."""
+        dets = [sufficient_det_general(field, FACE, constants,
+                                       np.zeros(2)).margins["det"]
+                for field in (full, e_only(full))]
+        assert dets[1] == pytest.approx(dets[0], rel=rel)
 
 
 class TestEigenvalueSufficient:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,19 @@ def test_csv_round_trip_bit_stable(tmp_path_factory, values):
     # compare bits: array_equal counts -0.0 == 0.0 and misses a lost sign
     assert np.array_equal(cols["v"].view(np.int64),
                           np.array(values).view(np.int64))
+
+
+@pytest.mark.parametrize("header", [["a"], ["a", "b"]], ids=len)
+def test_csv_round_trip_with_no_rows(tmp_path, header):
+    path = tmp_path / "empty.csv"
+    io.write_csv(path, header, [[] for _ in header])
+    assert path.read_text() == ",".join(header) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        names, cols = io.read_csv(path)
+    assert names == header and list(cols) == header
+    for col in cols.values():
+        assert col.shape == (0,) and col.dtype == float
 
 
 def _assert_bytes_equal_savetxt(tmp, columns):

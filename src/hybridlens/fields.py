@@ -142,10 +142,10 @@ def curl_condition(field, grid, tol):
 def recover_potential(field, grid, basepoint, tol=None):
     """Line-integrate e' along staircase paths to rebuild h, h(basepoint)=0.
 
-    Integrates x1 then x2 and x2 then x1 (RK4 on a slope that ignores
-    the state, i.e. Simpson's rule, with one batched field call per
-    stage), returns their mean and reports the worst disagreement as
-    the path-independence residual.
+    One ``staircase`` call integrates x1 then x2 and x2 then x1 (RK4 on
+    a slope that ignores the state, i.e. Simpson's rule, with one
+    batched field call per stage of each sweep), returns their mean and
+    reports the worst disagreement as the path-independence residual.
     """
     anchor = grid.nearest_index(basepoint)
     if tol is None:
@@ -154,7 +154,7 @@ def recover_potential(field, grid, basepoint, tol=None):
     def slope(x, z):
         return field.eprime(x)
 
-    h_row, h_col = (staircase(grid, anchor, 0.0, slope, axis) for axis in (0, 1))
+    h_row, h_col = staircase(grid, anchor, 0.0, slope)
     residual = float(np.max(np.abs(h_row - h_col)))
     if residual > 10.0 * tol:
         raise NotIntegrable(

@@ -242,59 +242,134 @@ class Grid2D:
         return np.array([self.x1[i], self.x2[j]])
 
 
-def _rk4_sweep(z_init, positions, deriv):
-    """March z along a 1-D chain of positions with classical RK4.
+def _rk4_sweep(z_init, t, deriv, steps=None):
+    """March states with classical RK4 through a chain of positions.
 
-    ``z_init`` may be scalar or a vector of independent states; ``deriv``
-    takes (t, z) with matching shapes.  Returns states at every position.
+    ``t`` (L + 1,) is one chain, from its start in the scalar state
+    ``z_init``; ``deriv(t, z)`` then takes and gives scalars, so a
+    single march pays no per-step array overhead.  Or ``t``
+    (L + 1, n) holds in column r the chain of row r, which starts in
+    state ``z_init[r]`` and takes ``steps[r]`` steps.  The step counts
+    must not increase along the rows, so the rows still marching at
+    step s are a prefix and no finished row is evaluated:
+    ``deriv(t, z)`` takes positions and states (m,) of the first m rows
+    and gives their slopes (m,).  Each row does the float operations of
+    a march on its own.  Returns the states at the positions of ``t``;
+    entries past a row's last step are unset.
     """
-    states = [np.array(z_init, dtype=float, copy=True)]
-    for t0, t1 in zip(positions[:-1], positions[1:]):
-        h = t1 - t0
-        z = states[-1]
-        k1 = deriv(t0, z)
-        k2 = deriv(t0 + 0.5 * h, z + 0.5 * h * k1)
-        k3 = deriv(t0 + 0.5 * h, z + 0.5 * h * k2)
-        k4 = deriv(t1, z + h * k3)
-        states.append(z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    return np.array(states)
+    h = t[1:] - t[:-1]
+    half = 0.5 * h
+    mid = t[:-1] + half
+    sixth = h / 6.0
+    z = np.empty(t.shape)
+    z[0] = z_init
+    if steps is None:
+        prefixes = [()] * len(h)
+    else:
+        active = np.count_nonzero(steps[:, None] > np.arange(len(h)), axis=0)
+        prefixes = [(slice(m),) for m in active.tolist()]
+    for s, rows in enumerate(prefixes):
+        now = (s,) + rows
+        zs, hs = z[now], half[now]
+        k1 = deriv(t[now], zs)
+        k2 = deriv(mid[now], zs + hs * k1)
+        k3 = deriv(mid[now], zs + hs * k2)
+        k4 = deriv(t[(s + 1,) + rows], zs + h[now] * k3)
+        z[(s + 1,) + rows] = zs + sixth[now] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z
 
 
-def march_both_ways(z_init, positions, k, deriv):
-    """RK4-march from ``positions[k]`` to both ends of the chain.
-
-    Returns the states at every position, in the order of ``positions``.
+def march_both_ways(z0, positions, k, deriv):
+    """RK4-march a scalar state from ``positions[k]`` to both ends of the
+    chain, ahead first, then behind; ``deriv(t, z)`` takes and gives
+    scalars.  Returns the states at every position, in the order of
+    ``positions``.
     """
-    ahead = _rk4_sweep(z_init, positions[k:], deriv)
-    behind = _rk4_sweep(z_init, positions[k::-1], deriv)
+    ahead = _rk4_sweep(z0, positions[k:], deriv)
+    behind = _rk4_sweep(z0, positions[k::-1], deriv)
     return np.concatenate([behind[:0:-1], ahead])
 
 
-def staircase(grid, anchor, z0, slope, first_axis):
-    """Integrate dz = slope(x, z) . dx over the grid from an anchor node.
+def _march_lines(slope, axes, anchor, fixed, z_init):
+    """RK4-march z along grid lines from the anchor's node to both ends
+    of each axis, every line in one batch.
 
-    ``slope`` maps points (n, 2) and states (n,) to (n, 2).  RK4 marches
-    z from node ``anchor`` = (i, j) along the grid line through it on
-    ``first_axis``, then from every node of that line along the other
-    axis.  Returns z on the grid, shape ``grid.shape``.  When the slope
-    is a gradient field the result does not depend on ``first_axis`` up
-    to RK4 accuracy; a slope that ignores z is integrated by Simpson's
-    rule.
+    The lines along axis a lie at the other coordinates ``fixed[a]``
+    and start in the states ``z_init[a]``.  The batch holds the marches
+    along x1 ahead (towards the last node), x1 behind, x2 ahead and x2
+    behind, the lines of each by ascending start node, stably sorted by
+    descending step count.  Returns per axis the states
+    (axes[a].size, fixed[a].size).
     """
-    a, b = first_axis, 1 - first_axis
+    marches = [(axis, chain) for axis in (0, 1)
+               for chain in (axes[axis][anchor[axis]:],
+                             axes[axis][anchor[axis]::-1])]
+    order = sorted(range(4), key=lambda g: -marches[g][1].size)
+    n = sum(fixed[axis].size for axis, _ in marches)
+    t = np.empty((marches[order[0]][1].size, n))
+    steps, z = np.empty(n, dtype=int), np.empty(n)
+    along = np.zeros((n, 2), dtype=bool)
+    x = np.empty((n, 2))
+    cols, stop = [None] * 4, 0
+    for g in order:
+        axis, chain = marches[g]
+        c = cols[g] = slice(stop, stop + fixed[axis].size)
+        stop = c.stop
+        t[:chain.size, c] = chain[:, None]
+        t[chain.size:, c] = chain[-1]  # a finished line steps by 0
+        steps[c], z[c] = chain.size - 1, z_init[axis]
+        along[c, axis] = True
+        x[c, 1 - axis] = fixed[axis]
+    # a line's own component: x[r, axis] is its position, slope[r, axis]
+    # its slope along the line
+    own = np.flatnonzero(along)
+
+    def deriv(tm, zm):
+        m = tm.size
+        xm = x[:m].copy()
+        xm.ravel()[own[:m]] = tm  # a view: xm is contiguous
+        return slope(xm, zm).take(own[:m])
+
+    z = _rk4_sweep(z, t, deriv, steps)
+
+    def both_ways(axis):
+        ahead, behind = (z[:marches[g][1].size, cols[g]]
+                         for g in (2 * axis, 2 * axis + 1))
+        return np.concatenate([behind[:0:-1], ahead])
+
+    return [both_ways(0), both_ways(1)]
+
+
+def staircase(grid, anchor, z0, slope):
+    """Integrate dz = slope(x, z) . dx over the grid from an anchor node,
+    in both axis orders.
+
+    ``slope`` maps points (n, 2) and states (n,) to (n, 2).  From node
+    ``anchor`` = (i, j) in state ``z0``, RK4 marches z along the two
+    grid lines through the anchor (the line sweep), then from every
+    node of each line along the other axis (the across sweep).  Returns
+    ``(z_x1_first, z_x2_first)``, each of shape ``grid.shape``.  When
+    the slope is a gradient field the two agree up to RK4 accuracy; a
+    slope that ignores z is integrated by Simpson's rule.
+
+    Each sweep is one batched march, which makes 4 slope calls per step
+    of its longest line; every line does the float operations it would
+    do on its own.  A sweep's batch holds the marches along x1 ahead
+    (towards the last node), along x1 behind, along x2 ahead and along
+    x2 behind, the across lines of each by ascending start node, stably
+    sorted by descending step count.  So a slope that raises for some
+    lines sees the first failing stage of the earlier sweep, and within
+    it the first failing line in that order.
+    """
     axes = (grid.x1, grid.x2)
-
-    def along_line(t, z):
-        x = np.empty((1, 2))
-        x[0, a], x[0, b] = t, axes[b][anchor[b]]
-        return slope(x, z)[:, a]
-
-    z_line = march_both_ways(np.atleast_1d(z0), axes[a], anchor[a], along_line)
-
-    def across(t, z):
-        x = np.empty((axes[a].size, 2))
-        x[:, a], x[:, b] = axes[a], t
-        return slope(x, z)[:, b]
-
-    z = march_both_ways(z_line[:, 0], axes[b], anchor[b], across)
-    return z.T if first_axis == 0 else z
+    i, j = anchor
+    start = np.array([z0], dtype=float)
+    along_x1, along_x2 = _march_lines(
+        slope, axes, anchor, (axes[1][j:j + 1], axes[0][i:i + 1]),
+        (start, start))
+    # across from the x2 line along x1 (x2 first), from the x1 line
+    # along x2 (x1 first)
+    x2_first, x1_first = _march_lines(
+        slope, axes, anchor, (axes[1], axes[0]),
+        (along_x2[:, 0], along_x1[:, 0]))
+    return x1_first.T, x2_first

@@ -79,19 +79,24 @@ def thickness_check(target_map, constants, grid):
     )
 
 
-def _check_feasible(s, z, kappa1, a):
-    s = np.atleast_2d(s)
-    z = np.atleast_1d(z)
+def _at(x, k):
+    """' at x = (x1, x2)' for point k of the batch ``x`` (..., 2)."""
+    x1, x2 = np.reshape(x, (-1, 2))[k]
+    return f" at x = ({x1:.6g}, {x2:.6g})"
+
+
+def _check_feasible(x, s, z, kappa1, a):
     slack = FEASIBILITY_SLACK * max(a, 1.0)
     # |S| as np.linalg.norm(s, axis=-1) computes it, in fewer numpy calls
     sq = s * s
     lower = np.sqrt(sq[..., 0] + sq[..., 1]) / math.sqrt(kappa1**2 - 1.0)
     bad = (z >= a - slack) | (z <= lower + slack)
     if bad.any():
-        idx = int(np.argmax(bad))
+        k = int(np.argmax(bad))
+        z, lower = np.broadcast_arrays(z, lower)
         raise FeasibilityViolation(
-            f"z = {z[idx]:.6g} outside ({lower[idx]:.6g}, {a:.6g}) "
-            "(slab inequality violated)"
+            f"z = {z.flat[k]:.6g} outside ({lower.flat[k]:.6g}, {a:.6g})"
+            f"{_at(x, k)} (slab inequality violated)"
         )
 
 
@@ -100,20 +105,23 @@ def rhs_V(x, z, target_map, kappa1, a=None):
 
     Broadcasts over a leading batch axis in ``x`` and ``z``.  The
     denominator is positive precisely on the admissible slab, which is
-    enforced (with relative slack) rather than clamped.
+    enforced (with relative slack) rather than clamped; a violation
+    names the first failing point of the batch.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     s = target_map.S(x)
     if a is not None:
-        _check_feasible(s, z, kappa1, a)
+        _check_feasible(x, s, z, kappa1, a)
     ratio = s / z[..., None]
     r2 = ratio * ratio
     y = r2[..., 0] + r2[..., 1]
-    if (y >= (kappa1**2 - 1.0) * (1.0 - FEASIBILITY_SLACK)).any():
+    bad = y >= (kappa1**2 - 1.0) * (1.0 - FEASIBILITY_SLACK)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise FeasibilityViolation(
-            f"|S/z|^2 = {float(np.max(y)):.6g} reaches kappa1^2 - 1 "
-            f"= {kappa1**2 - 1.0:.6g}"
+            f"|S/z|^2 = {y.flat[k]:.6g} reaches kappa1^2 - 1 "
+            f"= {kappa1**2 - 1.0:.6g}{_at(x, k)}"
         )
     phi = kappa1 / (kappa1 - np.sqrt(y + 1.0))
     return phi[..., None] * ratio
@@ -166,10 +174,11 @@ def default_z0(target_map, constants, x0):
 def solve_rho(target_map, constants, grid, x0, z0=None):
     """Integrate the lens PDE over the grid from the anchor (x0, z0).
 
-    Integrates the staircase in both axis orders and keeps the x1-first
-    one; for admissible maps the two agree to RK4 accuracy, and a larger
-    disagreement raises ``PathInconsistency`` (the integrability test is
-    an iff).
+    One ``staircase`` call integrates both axis orders, and the x1-first
+    one is kept; for admissible maps the two agree to RK4 accuracy, and
+    a larger disagreement raises ``PathInconsistency`` (the
+    integrability test is an iff).  A march that leaves the slab raises
+    ``FeasibilityViolation`` at the point the staircase meets first.
     """
     constants.require_lens_geometry()
     k1, a = constants.kappa1, constants.a
@@ -186,7 +195,7 @@ def solve_rho(target_map, constants, grid, x0, z0=None):
     def slope(x, z):
         return rhs_V(x, z, target_map, k1, a)
 
-    z_a, z_b = (staircase(grid, (i0, j0), z0, slope, axis) for axis in (0, 1))
+    z_a, z_b = staircase(grid, (i0, j0), z0, slope)
     residual = float(np.max(np.abs(z_a - z_b)))
     h = float(np.max(grid.spacing))
     path_tol = 100.0 * h**4 * max(1.0, a)

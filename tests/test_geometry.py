@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hybridlens.fields import point_source, recover_potential
 from hybridlens.geometry import (
     FDStencil,
     Grid2D,
@@ -15,6 +16,8 @@ from hybridlens.geometry import (
     staircase,
     sym_eig_2x2,
 )
+from hybridlens.imaging import rhs_V
+from hybridlens.maps import dilation
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -235,17 +238,128 @@ class TestGrid2D:
         assert np.allclose(x2[0, :], g.x2)
 
 
-@pytest.mark.parametrize("first_axis", [0, 1])
-def test_staircase_integrates_a_cubic_gradient_exactly(first_axis):
-    # Simpson's rule, which RK4 reduces to on a slope that ignores z, is
-    # exact for cubics; a transposed or mirrored march would not be
-    grid = Grid2D.from_box(((-0.3, 0.9), (-0.5, 0.2)), 13, 8)
-    h = lambda x1, x2: x1**3 - 2.0 * x1 * x2**2 + x2**3 + 0.5 * x1
-    slope = lambda x, z: np.stack(
+CUBIC_GRID = Grid2D.from_box(((-0.3, 0.9), (-0.5, 0.2)), 13, 8)
+
+
+def cubic_slope(x, z):
+    """Gradient of h = x1^3 - 2 x1 x2^2 + x2^3 + 0.5 x1; ignores z."""
+    return np.stack(
         [3.0 * x[:, 0] ** 2 - 2.0 * x[:, 1] ** 2 + 0.5,
          -4.0 * x[:, 0] * x[:, 1] + 3.0 * x[:, 1] ** 2], axis=-1)
-    z = staircase(grid, (9, 2), 1.0, slope, first_axis)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_staircase_integrates_a_cubic_gradient_exactly(order):
+    # Simpson's rule, which RK4 reduces to on a slope that ignores z, is
+    # exact for cubics; a transposed or mirrored march would not be
+    grid = CUBIC_GRID
+    h = lambda x1, x2: x1**3 - 2.0 * x1 * x2**2 + x2**3 + 0.5 * x1
+    z = staircase(grid, (9, 2), 1.0, cubic_slope)[order]
     x1, x2 = grid.meshgrid()
     exact = 1.0 + h(x1, x2) - h(grid.x1[9], grid.x2[2])
     assert z.shape == (13, 8)
     assert np.max(np.abs(z - exact)) < 1e-14
+
+
+def sequential_staircase(grid, anchor, z0, slope, first_axis):
+    """The staircase one line at a time, one point per slope call.
+
+    RK4 marches z from the anchor along the grid line on ``first_axis``,
+    ahead and then behind, then from each node of that line along the
+    other axis.  Oracle for the batched ``staircase``.
+    """
+    axes = (grid.x1, grid.x2)
+
+    def march(z, chain, axis, fixed):
+        def f(t, z):
+            x = np.empty((1, 2))
+            x[0, axis], x[0, 1 - axis] = t, fixed
+            return slope(x, np.array([z]))[0, axis]
+
+        states = [z]
+        for t0, t1 in zip(chain[:-1], chain[1:]):
+            h = t1 - t0
+            k1 = f(t0, z)
+            k2 = f(t0 + 0.5 * h, z + 0.5 * h * k1)
+            k3 = f(t0 + 0.5 * h, z + 0.5 * h * k2)
+            k4 = f(t1, z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(z)
+        return states
+
+    def both_ways(z, axis, fixed):
+        k = anchor[axis]
+        ahead = march(z, axes[axis][k:], axis, fixed)
+        behind = march(z, axes[axis][k::-1], axis, fixed)
+        return np.array(behind[:0:-1] + ahead)
+
+    a, b = first_axis, 1 - first_axis
+    line = both_ways(np.float64(z0), a, axes[b][anchor[b]])
+    z = np.array([both_ways(line[i], b, axes[a][i])
+                  for i in range(axes[a].size)])
+    return z if first_axis == 0 else z.T
+
+
+def dilation_slope(x, z):
+    return rhs_V(x, z, dilation(0.05), 1.5, 1.0)
+
+
+def point_source_slope(x, z):
+    return point_source((0.3, -0.2, -4.0)).eprime(x)
+
+
+GRID_2x7 = Grid2D.from_box(((-0.3, 0.9), (-0.5, 0.2)), 2, 7)
+GRID_9x2 = Grid2D.from_box(((-0.3, 0.9), (-0.5, 0.2)), 9, 2)
+# the four corners, two edges and an off-centre node, and grids with a
+# 2-node axis
+STAIRCASE_CASES = [
+    (CUBIC_GRID, anchor) for anchor in
+    [(0, 0), (12, 0), (0, 7), (12, 7), (0, 3), (6, 7), (9, 2)]
+] + [(GRID_2x7, (0, 3)), (GRID_2x7, (1, 6)), (GRID_9x2, (4, 1))]
+STAIRCASE_IDS = [f"{g.shape[0]}x{g.shape[1]}-{i}-{j}"
+                 for g, (i, j) in STAIRCASE_CASES]
+
+
+@pytest.mark.parametrize("grid, anchor", STAIRCASE_CASES, ids=STAIRCASE_IDS)
+@pytest.mark.parametrize("slope, z0", [(dilation_slope, 0.6),
+                                       (point_source_slope, 0.0)],
+                         ids=["rhs_V", "simpson"])
+def test_staircase_is_bit_equal_to_sequential_marches(grid, anchor, slope, z0):
+    z = staircase(grid, anchor, z0, slope)
+    for first_axis in (0, 1):
+        expected = sequential_staircase(grid, anchor, z0, slope, first_axis)
+        assert np.array_equal(z[first_axis], expected)
+
+
+@pytest.mark.parametrize("grid, anchor", STAIRCASE_CASES, ids=STAIRCASE_IDS)
+def test_recover_potential_is_bit_equal_to_sequential_marches(grid, anchor):
+    field = point_source((0.3, -0.2, -4.0))
+    h, residual = recover_potential(field, grid, grid.node(*anchor))
+    h_row, h_col = (sequential_staircase(grid, anchor, 0.0,
+                                         point_source_slope, first_axis)
+                    for first_axis in (0, 1))
+    assert np.array_equal(h, 0.5 * (h_row + h_col))
+    assert residual == np.max(np.abs(h_row - h_col))
+
+
+@pytest.mark.parametrize("grid, anchor, calls", [
+    (Grid2D.from_box(((-0.7, 0.7), (-0.7, 0.7)), 201), (100, 100), 800),
+    (CUBIC_GRID, (9, 2), 72),
+])
+def test_staircase_makes_four_slope_calls_per_step_of_each_sweep(
+        grid, anchor, calls):
+    # a sweep steps as often as its longest line; each stage evaluates
+    # only the lines still marching, so the points evaluated are four per
+    # step of every line: the two lines through the anchor, and the
+    # lines across from each of their nodes
+    rows = []
+
+    def counted(x, z):
+        rows.append(z.size)
+        return cubic_slope(x, z)
+
+    staircase(grid, anchor, 1.0, counted)
+    n1, n2 = grid.shape
+    steps = (n1 - 1) + (n2 - 1) + n1 * (n2 - 1) + n2 * (n1 - 1)
+    assert len(rows) == calls
+    assert sum(rows) == 4 * steps

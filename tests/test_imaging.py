@@ -86,6 +86,30 @@ def test_rhs_v_vanishes_at_fixed_point():
     assert np.allclose(v, 0.0)
 
 
+def test_rhs_v_names_the_first_failing_point():
+    # rows 2 and 3 leave the slab (z <= |S|/sqrt(kappa1^2 - 1)); row 2 is
+    # reported, by both checks
+    x = np.array([[0.1, 0.0], [0.0, 0.4], [0.0, -0.9], [0.5, 0.5]])
+    z = np.array([0.5, 0.5, 0.1, 0.1])
+    with pytest.raises(FeasibilityViolation) as info:
+        rhs_V(x, z, dilation(0.2), KAPPA1, a=1.0)
+    assert str(info.value) == (
+        "z = 0.1 outside (0.160997, 1) at x = (0, -0.9) "
+        "(slab inequality violated)")
+    with pytest.raises(FeasibilityViolation) as info:
+        rhs_V(x, z, dilation(0.2), KAPPA1)
+    assert str(info.value) == (
+        "|S/z|^2 = 3.24 reaches kappa1^2 - 1 = 1.25 at x = (0, -0.9)")
+    with pytest.raises(FeasibilityViolation, match=r"at x = \(0, -0.9\)"):
+        rhs_V(x[2], z[2], dilation(0.2), KAPPA1, a=1.0)
+    # one state for the whole batch
+    with pytest.raises(FeasibilityViolation) as info:
+        rhs_V(x, 0.1, dilation(0.2), KAPPA1, a=1.0)
+    assert str(info.value) == (
+        "z = 0.1 outside (0.160997, 1) at x = (0, -0.9) "
+        "(slab inequality violated)")
+
+
 def test_delta_nice_matches_drho_form(dilation_design):
     d = dilation_design
     s = d.target_map.S(np.stack(d.grid.meshgrid(), axis=-1))
@@ -129,8 +153,10 @@ class TestSolveRho:
             solve_rho(dilation(0.2), constants, grid, (0.0, 0.0), z0=1.5)
 
     @pytest.mark.parametrize("alpha, message", [
-        (0.9, "z = 1.00141 outside (0.394442, 1) (slab inequality violated)"),
-        (1.5, "z = 1.01113 outside (0.493053, 1) (slab inequality violated)"),
+        (0.9, "z = 1.00141 outside (0.394442, 1) at x = (0.49, 0) "
+              "(slab inequality violated)"),
+        (1.5, "z = 1.01113 outside (0.493053, 1) at x = (0.3675, 0) "
+              "(slab inequality violated)"),
     ])
     def test_march_leaving_the_slab_raises(self, constants, alpha, message):
         # the anchor is feasible; the march crosses z = a part way out
@@ -271,6 +297,14 @@ class Test2D:
         with pytest.raises(FeasibilityViolation):
             solve_rho_2d(lambda t: 0.3 * t, constants100, (-1.0, 1.0), 120.0,
                          1e-2)
+
+    def test_march_leaving_the_slab_reports_the_first_t(self, constants):
+        # the profile is even, so both directions leave the slab at
+        # |t| = 0.49; the march ahead runs first
+        with pytest.raises(FeasibilityViolation) as info:
+            solve_rho_2d(lambda t: 0.9 * t, constants, (-0.7, 0.7), 0.5, 0.01)
+        assert str(info.value) == (
+            "z = 1.00142 outside (0.394442, 1) at t = 0.49")
 
 
 @pytest.fixture(scope="session")

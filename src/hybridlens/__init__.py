@@ -1,7 +1,7 @@
 """Design and verification toolkit for hybrid freeform/metasurface lenses.
 
-A lens occupies the slab between a freeform lower face (a radial graph
-``x3 = a - rho(x)``) and a flat metasurface on ``{x3 = a}`` carrying a
+A lens occupies the slab between a freeform lower face (the graph
+``x3 = rho(x)``) and a flat metasurface on ``{x3 = a}`` carrying a
 phase discontinuity.  The package solves the inverse imaging problem
 (prescribe a target map, recover the lower face and phase), evaluates the
 closed-form second-order data at the anchor point, checks the existence
@@ -21,7 +21,6 @@ from .errors import (
     NotEigenvector,
     NotIntegrable,
     PathInconsistency,
-    QuadratureError,
     SingularHessian,
     TotalInternalReflection,
 )
@@ -60,12 +59,10 @@ from .imaging import (
     default_z0,
     delta_from_drho,
     existence_verdict,
-    explicit_dilation_2d,
     feasible_z_interval,
     hessian_closed_form,
     lemma_identity_check,
     matA_closed_form,
-    matA_direct,
     rhs_V,
     solve_rho,
     solve_rho_2d,

@@ -42,10 +42,16 @@ def _reject_unknown(d, allowed, where):
 
 
 def _number(value, where):
+    """``value`` as a finite float; JSON's true/false are not numbers."""
     try:
-        return float(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
 def _named_spec(d, where, registry):
@@ -109,8 +115,8 @@ class DesignConfig:
                 n = gdict["n"]
                 n1, n2 = (n, n) if isinstance(n, int) else (int(n[0]), int(n[1]))
                 cfg.grid = Grid2D.from_box(
-                    ((float(box[0][0]), float(box[0][1])),
-                     (float(box[1][0]), float(box[1][1]))),
+                    [(_number(axis[0], "grid.box"), _number(axis[1], "grid.box"))
+                     for axis in box[:2]],
                     n1, n2,
                 )
             except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -143,9 +149,8 @@ class DesignConfig:
                 raise ConfigError("t_range must contain 0")
         if "step" in raw:
             cfg.step = _number(raw["step"], "step")
-            if not (math.isfinite(cfg.step) and cfg.step > 0.0):
-                raise ConfigError(
-                    f"step must be a finite number > 0, got {cfg.step}")
+            if not cfg.step > 0.0:
+                raise ConfigError(f"step must be > 0, got {cfg.step}")
         return cfg
 
     @staticmethod

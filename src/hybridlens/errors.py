@@ -51,7 +51,3 @@ class MissedSurface(HybridLensError):
 
 class ConfigError(HybridLensError):
     """Invalid or malformed configuration."""
-
-
-class QuadratureError(HybridLensError):
-    """Adaptive quadrature failed to reach the requested accuracy."""

@@ -29,7 +29,6 @@ from .geometry import (
     fd_hessian,
     fd_jacobian,
     outer,
-    sym_eig_2x2,
 )
 from .imaging import delta_from_drho
 from .reports import ConditionReport
@@ -290,8 +289,7 @@ def eigenvalue_sufficient(surface, constants, x0):
     r, g, hess, delta, k1, a = _vertical_terms(surface, constants, x0)
     if abs(np.linalg.det(hess)) <= 1e-12:
         raise SingularHessian(f"det D^2 rho = {np.linalg.det(hess):.3e} at {tuple(x0)}")
-    lam, _ = sym_eig_2x2(hess)
-    lam1, lam2 = lam
+    lam2, lam1 = np.linalg.eigvalsh(hess)
     thresh1 = delta**2 * (k1**2 + delta) / (k1**2 * (k1**2 - 1.0) * (a - r))
     thresh2 = (k1**2 + delta) / ((k1**2 - 1.0) * (a - r))
     first = lam2 > thresh1

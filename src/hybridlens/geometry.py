@@ -26,37 +26,6 @@ def outer(u, v):
     return np.outer(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 
-def sym_eig_2x2(m):
-    """Closed-form eigendecomposition of a symmetric 2x2 matrix.
-
-    Returns (w, V) with w = [lam1, lam2], lam1 >= lam2, and V's columns
-    the corresponding orthonormal eigenvectors.
-    """
-    m = np.asarray(m, dtype=float)
-    a, b, d = m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1]
-    mid = 0.5 * (a + d)
-    disc = np.hypot(0.5 * (a - d), b)
-    lam1, lam2 = mid + disc, mid - disc
-    # Eigenvector of lam1: pick the better-conditioned of the two rows of
-    # (M - lam2 I), whose columns span the lam1 eigenspace.
-    u = np.array([a - lam2, b])
-    w = np.array([b, d - lam2])
-    # Rescale both rows by one power of two (exact) so that the squared
-    # norms below neither underflow nor overflow for tiny or huge entries.
-    top = max(np.abs(u).max(), np.abs(w).max())
-    if top > 0.0:
-        e = np.frexp(top)[1]
-        u, w = np.ldexp(u, -e), np.ldexp(w, -e)
-    v1 = u if np.dot(u, u) >= np.dot(w, w) else w
-    n = np.linalg.norm(v1)
-    if n == 0.0:  # multiple of identity
-        v1 = np.array([1.0, 0.0])
-    else:
-        v1 = v1 / n
-    v2 = perp(v1)
-    return np.array([lam1, lam2]), np.column_stack([v1, v2])
-
-
 def batch_eval(f, x, tail, what):
     """``f(x)`` as a float array of shape ``x.shape[:-1] + tail``.
 

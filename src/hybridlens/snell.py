@@ -40,6 +40,10 @@ class OpticalConstants:
     c: float = 2.0
 
     def __post_init__(self):
+        for name in ("n1", "n2", "n3", "k", "a", "c"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if min(self.n1, self.n2, self.n3) <= 0:
             raise ValueError("refractive indices must be positive")
         if self.k <= 0:

@@ -26,11 +26,9 @@ from hybridlens.fields import collimated, point_source, vertical
 from hybridlens.geometry import FDStencil, Grid2D, fd_hessian
 from hybridlens.imaging import (
     existence_verdict,
-    explicit_dilation_2d,
     hessian_closed_form,
     lemma_identity_check,
     matA_closed_form,
-    matA_direct,
     solve_rho,
     solve_rho_2d,
 )
@@ -49,6 +47,8 @@ from hybridlens.snell import (
     refract_standard,
 )
 from hybridlens.surfaces import from_design, polynomial
+
+from oracles import explicit_dilation_2d, matA_direct
 
 KAPPAS = [1.33, 1.5, 2.0, 0.8]
 

@@ -405,12 +405,19 @@ def test_retrace_writes_the_design_trace_byte_for_byte(dilation_cfg, tmp_path):
 
 SCIPY_PROBE = """
 import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 import hybridlens.cli as cli
-cfg, out = sys.argv[1], sys.argv[2]
-assert cli.main(["design-imaging", "--config", cfg, "--out", out]) == 0
-assert cli.main(["trace", "--design", out, "--gradient-mode", "fd"]) == 0
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
+imaging, farfield, profiles, out = sys.argv[1:]
+for argv in [
+    ["check", "--config", imaging, "--out", out + "/check"],
+    ["design-imaging", "--config", imaging, "--out", out + "/imaging"],
+    ["trace", "--design", out + "/imaging", "--gradient-mode", "fd"],
+    ["trace", "--design", out + "/imaging", "--gradient-mode", "analytic"],
+    ["design-farfield", "--config", farfield, "--out", out + "/farfield"],
+    ["plot2d", "--config", profiles, "--out", out + "/profiles"],
+    ["lemma-check", "--config", imaging, "--out", out + "/lemma"],
+]:
+    assert cli.main(argv) == 0, argv
 print("no scipy")
 """
 
@@ -426,18 +433,23 @@ print("no numpy.ma")
 
 
 def test_design_and_trace_never_import_scipy(tmp_path):
-    """Run in a fresh interpreter, so that no other test's import counts."""
-    cfg = write_config(tmp_path, "dilation31.json", {
+    """Every command runs with scipy unimportable, in a fresh interpreter
+    so that no other test's import counts."""
+    imaging = write_config(tmp_path, "dilation31.json", {
         "constants": CONSTANTS,
         "map": {"name": "dilation", "params": {"alpha": 0.2}},
         "grid": {"box": [[-0.7, 0.7], [-0.7, 0.7]], "n": 31},
         "x0": [0.0, 0.0],
     })
+    farfield = write_config(tmp_path, "farfield31.json",
+                            {**FARFIELD, "grid": {**FARFIELD["grid"], "n": 31}})
+    profiles = write_config(tmp_path, "profiles.json", PROFILES)
     src = str(Path(hybridlens.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, cfg, str(tmp_path / "out")],
+        [sys.executable, "-c", SCIPY_PROBE, imaging, farfield, profiles,
+         str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().endswith("no scipy")

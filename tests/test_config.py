@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hybridlens.cli import main
 from hybridlens.config import DEFAULT_TOLERANCES, DesignConfig
 from hybridlens.errors import ConfigError
 
@@ -112,3 +113,55 @@ def test_require_aliases():
     cfg.require("map", "grid")
     with pytest.raises(ConfigError, match="field"):
         cfg.require("field")
+
+
+NAN, INF = float("nan"), float("inf")
+PROFILES = {
+    "constants": {**BASE["constants"], "a": 100.0, "c": 150.0},
+    "alphas": [0.2],
+    "z0": 70.0,
+    "step": 0.01,
+}
+
+
+def constants(**change):
+    return {"constants": {**BASE["constants"], **change}}
+
+
+# case: (command, base config, changed keys, the key the message names)
+NOT_A_FINITE_NUMBER = {
+    "n1-nan": ("design-imaging", BASE, constants(n1=NAN), "n1"),
+    "n1-true": ("design-imaging", BASE, constants(n1=True), "n1"),
+    "n2-inf": ("design-imaging", BASE, constants(n2=INF), "n2"),
+    "n3-minus-inf": ("design-imaging", BASE, constants(n3=-INF), "n3"),
+    "k-nan": ("design-imaging", BASE, constants(k=NAN), "k"),
+    "k-inf": ("design-imaging", BASE, constants(k=INF), "k"),
+    "a-inf": ("design-imaging", BASE, constants(a=INF), "a"),
+    "c-nan": ("design-imaging", BASE, constants(c=NAN), "c"),
+    "x0-nan": ("design-imaging", BASE, {"x0": [NAN, 0.0]}, "x0"),
+    "x0-true": ("design-imaging", BASE, {"x0": [True, 0.0]}, "x0"),
+    "z0-true": ("design-imaging", BASE, {"z0": True}, "z0"),
+    "z0-nan": ("design-imaging", BASE, {"z0": NAN}, "z0"),
+    "grid-box-nan": ("design-imaging", BASE, {"grid": {
+        **BASE["grid"], "box": [[NAN, 0.5], [-0.5, 0.5]]}}, "grid.box"),
+    "tolerance-inf": ("check", BASE, {"tolerances": {"curl": INF}},
+                      "tolerances.curl"),
+    "alphas-nan": ("plot2d", PROFILES, {"alphas": [0.2, NAN]}, "alphas"),
+    "t_range-minus-inf": ("plot2d", PROFILES, {"t_range": [-INF, 1.0]},
+                          "t_range"),
+    "step-inf": ("plot2d", PROFILES, {"step": INF}, "step"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_A_FINITE_NUMBER)
+def test_a_value_that_is_not_a_finite_number_exits_2_naming_its_key(
+        case, tmp_path, capsys):
+    command, base, change, key = NOT_A_FINITE_NUMBER[case]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**base, **change}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f" {key} must be a" in err
+    assert not out.exists()

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from hybridlens.fields import point_source, recover_potential
 from hybridlens.geometry import (
@@ -14,12 +12,9 @@ from hybridlens.geometry import (
     outer,
     perp,
     staircase,
-    sym_eig_2x2,
 )
 from hybridlens.imaging import rhs_V
 from hybridlens.maps import dilation
-
-finite = st.floats(-10.0, 10.0, allow_nan=False)
 
 
 def test_cross2_basis():
@@ -39,20 +34,6 @@ def test_outer_row_vector_convention():
     w = np.array([5.0, 6.0])
     # w (u (x) v) = (w . u) v
     assert np.allclose(w @ m, np.dot(w, u) * v)
-
-
-@given(st.lists(finite, min_size=3, max_size=3))
-@example([0.0, 0.0, 1.0927395518758486e-160])  # squared norms underflow
-def test_sym_eig_2x2_diagonalizes(entries):
-    a, b, d = entries
-    m = np.array([[a, b], [b, d]])
-    lam, vecs = sym_eig_2x2(m)
-    assert lam[0] >= lam[1]
-    assert np.allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
-    scale = max(1.0, np.abs(m).max())
-    for i in range(2):
-        assert np.allclose(m @ vecs[:, i], lam[i] * vecs[:, i],
-                           atol=1e-10 * scale)
 
 
 def test_fd_gradient_quadratic_exact():

@@ -6,11 +6,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridlens.errors import (
-    FeasibilityViolation,
-    PathInconsistency,
-    QuadratureError,
-)
+from hybridlens.errors import FeasibilityViolation, PathInconsistency
 from hybridlens.geometry import FDStencil, Grid2D, fd_hessian
 from hybridlens.imaging import (
     VarphiProfile,
@@ -18,12 +14,10 @@ from hybridlens.imaging import (
     delta_from_drho,
     delta_nice,
     existence_verdict,
-    explicit_dilation_2d,
     feasible_z_interval,
     hessian_closed_form,
     lemma_identity_check,
     matA_closed_form,
-    matA_direct,
     rhs_V,
     solve_rho,
     solve_rho_2d,
@@ -37,6 +31,8 @@ from hybridlens.maps import (
     rotation,
 )
 from hybridlens.surfaces import from_design
+
+from oracles import QuadratureError, explicit_dilation_2d, matA_direct
 
 KAPPA1 = 1.5
 

@@ -105,6 +105,16 @@ def _trace_samples(grid):
     return np.column_stack([grid.x1[i.ravel()], grid.x2[j.ravel()]])
 
 
+def _trace_to_files(args, lens, field, constants, out):
+    """Trace the ``_trace_samples`` of the lens's grid through it, write
+    trace_report.csv and trace_aggregates.json to ``out``; the report."""
+    report = raytrace.trace_through(lens, field, constants,
+                                    _trace_samples(lens.grid),
+                                    gradient_mode=_mode(args))
+    io.trace_report_to_files(report, out)
+    return report
+
+
 def _refused(args, cfg, name, report, failure):
     """Unless ``report`` passed or --force is set, write it to verdict.json
     under ``name``, say ``failure`` on stderr and return True."""
@@ -117,22 +127,17 @@ def _refused(args, cfg, name, report, failure):
 
 def _verify_and_write(args, cfg, field, mid, surface, det_check, reports,
                       target_map=None):
-    """Build the phase over ``mid`` and the lens, trace the
-    ``_trace_samples`` of its grid through them, and write phase.csv,
-    phase.json, trace_report.csv, trace_aggregates.json and verdict.json:
+    """Build the phase over ``mid`` and write phase.csv and phase.json,
+    trace the lens through ``_trace_to_files``, and write verdict.json:
     ``reports`` (name -> report), ``det_check`` and the phase warnings.
     Returns the trace report."""
     phase = farfield.build_phase(field, mid, cfg.constants,
                                  check_condition=det_check)
-    lens = raytrace.TraceableLens(surface=surface, phase=phase, grid=mid.grid,
-                                  target_map=target_map)
-    report = raytrace.trace_through(
-        lens, field, cfg.constants, _trace_samples(mid.grid),
-        gradient_mode=_mode(args),
-    )
     out = _out_dir(args, cfg)
     io.phase_to_files(phase, out, cfg.constants)
-    io.trace_report_to_files(report, out)
+    lens = raytrace.TraceableLens(surface=surface, phase=phase, grid=mid.grid,
+                                  target_map=target_map)
+    report = _trace_to_files(args, lens, field, cfg.constants, out)
     io.write_json(out / "verdict.json", {
         **{name: r.to_dict() for name, r in reports.items()},
         det_check.name: det_check.to_dict(),
@@ -197,12 +202,8 @@ def cmd_trace(args):
     except FileNotFoundError as exc:
         raise ConfigError(f"design artifact not found: {exc.filename}") from exc
     lens = raytrace.TraceableLens.from_design(design, phase)
-    report = raytrace.trace_through(
-        lens, vertical(), design.constants, _trace_samples(design.grid),
-        gradient_mode=_mode(args),
-    )
-    out = Path(args.out or args.design)
-    io.trace_report_to_files(report, out)
+    report = _trace_to_files(args, lens, vertical(), design.constants,
+                             Path(args.out or args.design))
     print(f"traced {len(report)} rays; aggregates: {report.aggregates}")
     return EXIT_OK
 
@@ -241,17 +242,12 @@ def cmd_lemma_check(args):
     kappa1 = cfg.constants.kappa1
     if not kappa1 > 1.0:
         raise ConfigError("lemma-check requires n2 > n1 (kappa1 > 1)")
-    rng = np.random.default_rng(0)
     radius = 0.95 * np.sqrt(kappa1**2 - 1.0)
-    worst = 0.0
     n = 1000
-    count = 0
-    while count < n:
-        y = rng.uniform(-radius, radius, 2)
-        if np.linalg.norm(y) > radius:
-            continue
-        worst = max(worst, imaging.lemma_identity_check(y, kappa1))
-        count += 1
+    # uniform in the square, kept in the disc: about 1570 of these 2000
+    y = np.random.default_rng(0).uniform(-radius, radius, (2 * n, 2))
+    y = y[np.linalg.norm(y, axis=-1) <= radius][:n]
+    worst = float(np.max(imaging.lemma_identity_check(y, kappa1)))
     tol = args.tol if args.tol is not None else 1e-11
     out = _out_dir(args, cfg)
     io.write_json(

@@ -54,6 +54,20 @@ def _number(value, where):
     return number
 
 
+def read_constants(d):
+    """``OpticalConstants`` from the object of a "constants" key."""
+    _reject_unknown(d, {"n1", "n2", "n3", "k", "a", "c"}, "constants")
+    try:
+        return OpticalConstants(**d)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad constants: {exc}") from exc
+
+
+def read_map(d):
+    """The ``TargetMap`` of a "map" key's {"name", "params"} object."""
+    return _named_spec(d, "map", BUILTIN_MAPS)
+
+
 def _named_spec(d, where, registry):
     _reject_unknown(d, {"name", "params"}, where)
     name = d.get("name")
@@ -93,16 +107,9 @@ class DesignConfig:
         _reject_unknown(raw, _TOP_KEYS, "config")
         if "constants" not in raw:
             raise ConfigError("config requires a 'constants' section")
-        cdict = raw["constants"]
-        _reject_unknown(cdict, {"n1", "n2", "n3", "k", "a", "c"}, "constants")
-        try:
-            constants = OpticalConstants(**cdict)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad constants: {exc}") from exc
-
-        cfg = DesignConfig(constants=constants)
+        cfg = DesignConfig(constants=read_constants(raw["constants"]))
         if "map" in raw:
-            cfg.target_map = _named_spec(raw["map"], "map", BUILTIN_MAPS)
+            cfg.target_map = read_map(raw["map"])
         if "field" in raw:
             cfg.incident_field = _named_spec(raw["field"], "field", BUILTIN_FIELDS)
         if "surface" in raw:

@@ -11,7 +11,6 @@ e' rows of the field's Jacobian, since grad h = e'.
 """
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
@@ -37,29 +36,27 @@ from .snell import refract_standard
 
 @dataclass
 class MidField:
-    """Per-node ray data inside the lens: direction, travel distance,
-    metasurface footprint, and (vertical case) the Delta profile."""
+    """Per-node ray data inside the lens: direction, travel distance and
+    metasurface footprint."""
 
     grid: Grid2D
     m: np.ndarray          # (n1, n2, 3)
     d: np.ndarray          # (n1, n2)
     Q: np.ndarray          # (n1, n2, 2)
     rho: np.ndarray        # (n1, n2) path length in medium I
-    delta: Optional[np.ndarray] = None
 
 
 @dataclass
 class PhaseMap:
     """Phase samples on the metasurface footprint.
 
-    ``grad_tan`` holds the tangential gradient k (m1, m2) at each sample;
-    the phase is independent of u3.
+    ``grad_tan`` holds k (m1, m2) at each sample, k the lens's
+    ``constants.k``; the phase is independent of u3.
     """
 
     Q: np.ndarray          # (n1, n2, 2)
     phi: np.ndarray        # (n1, n2)
     grad_tan: np.ndarray   # (n1, n2, 2)
-    k: float
     warnings: list = dc_field(default_factory=list)
 
 
@@ -180,7 +177,7 @@ def midfield_vertical(grid, rho, drho, constants):
     d = k1 * (a - rho) * (1.0 + delta) / (k1**2 + delta)
     x1, x2 = grid.meshgrid()
     q = np.stack([x1, x2], axis=-1) + d[..., None] * m[..., :2]
-    return MidField(grid=grid, m=m, d=d, Q=q, rho=rho, delta=delta)
+    return MidField(grid=grid, m=m, d=d, Q=q, rho=rho)
 
 
 def sufficient_det_general(field, surface, constants, x0):
@@ -371,6 +368,5 @@ def build_phase(field, midfield, constants, check_condition=None):
         Q=midfield.Q,
         phi=phi,
         grad_tan=constants.k * midfield.m[..., :2],
-        k=constants.k,
         warnings=warnings,
     )

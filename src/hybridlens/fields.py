@@ -139,17 +139,17 @@ def curl_condition(field, grid, tol):
     )
 
 
-def recover_potential(field, grid, basepoint, tol=None):
+def recover_potential(field, grid, basepoint):
     """Line-integrate e' along staircase paths to rebuild h, h(basepoint)=0.
 
     One ``staircase`` call integrates x1 then x2 and x2 then x1 (RK4 on
     a slope that ignores the state, i.e. Simpson's rule, with one
     batched field call per stage of each sweep), returns their mean and
-    reports the worst disagreement as the path-independence residual.
+    reports the worst disagreement as the path-independence residual,
+    which may be at most 1e-5 times the grid's diameter.
     """
     anchor = grid.nearest_index(basepoint)
-    if tol is None:
-        tol = 1e-6 * grid.diameter
+    tol = 1e-6 * grid.diameter
 
     def slope(x, z):
         return field.eprime(x)

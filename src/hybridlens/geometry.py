@@ -78,11 +78,11 @@ class FDStencil:
             raise ValueError("step sizes must be positive")
 
     @staticmethod
-    def for_point(x, order=2):
-        """Default step max(1e-5, 1e-5 |x_i|) at each point of ``x``
-        (..., 2), balancing truncation and roundoff."""
+    def for_point(x):
+        """Default second-order step max(1e-5, 1e-5 |x_i|) at each point
+        of ``x`` (..., 2), balancing truncation and roundoff."""
         h = np.maximum(1e-5, 1e-5 * np.abs(np.asarray(x, dtype=float)))
-        return FDStencil(h1=h[..., 0], h2=h[..., 1], order=order)
+        return FDStencil(h1=h[..., 0], h2=h[..., 1])
 
     @property
     def steps(self):

@@ -78,12 +78,6 @@ def thickness_check(target_map, constants, grid):
     )
 
 
-def _at(x, k):
-    """' at x = (x1, x2)' for point k of the batch ``x`` (..., 2)."""
-    x1, x2 = np.reshape(x, (-1, 2))[k]
-    return f" at x = ({x1:.6g}, {x2:.6g})"
-
-
 def _check_feasible(x, s, z, kappa1, a):
     slack = FEASIBILITY_SLACK * max(a, 1.0)
     # |S| as np.linalg.norm(s, axis=-1) computes it, in fewer numpy calls
@@ -93,35 +87,30 @@ def _check_feasible(x, s, z, kappa1, a):
     if bad.any():
         k = int(np.argmax(bad))
         z, lower = np.broadcast_arrays(z, lower)
+        x1, x2 = np.reshape(x, (-1, 2))[k]
         raise FeasibilityViolation(
-            f"z = {z.flat[k]:.6g} outside ({lower.flat[k]:.6g}, {a:.6g})"
-            f"{_at(x, k)} (slab inequality violated)"
+            f"z = {z.flat[k]:.6g} outside ({lower.flat[k]:.6g}, {a:.6g}) at "
+            f"x = ({x1:.6g}, {x2:.6g}) (slab inequality violated)"
         )
 
 
-def rhs_V(x, z, target_map, kappa1, a=None):
+def rhs_V(x, z, target_map, kappa1, a):
     """Right-hand side V(x, z) of the gradient system; equals -D rho.
 
     Broadcasts over a leading batch axis in ``x`` and ``z``.  The
     denominator is positive precisely on the admissible slab, which is
     enforced (with relative slack) rather than clamped; a violation
-    names the first failing point of the batch.
+    names the first failing point of the batch.  A state inside the
+    slab has |S/z|^2 < (kappa1^2 - 1)(1 - FEASIBILITY_SLACK), since the
+    slack of ``_check_feasible`` is at least FEASIBILITY_SLACK z.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     s = target_map.S(x)
-    if a is not None:
-        _check_feasible(x, s, z, kappa1, a)
+    _check_feasible(x, s, z, kappa1, a)
     ratio = s / z[..., None]
     r2 = ratio * ratio
     y = r2[..., 0] + r2[..., 1]
-    bad = y >= (kappa1**2 - 1.0) * (1.0 - FEASIBILITY_SLACK)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise FeasibilityViolation(
-            f"|S/z|^2 = {y.flat[k]:.6g} reaches kappa1^2 - 1 "
-            f"= {kappa1**2 - 1.0:.6g}{_at(x, k)}"
-        )
     phi = kappa1 / (kappa1 - np.sqrt(y + 1.0))
     return phi[..., None] * ratio
 
@@ -263,19 +252,23 @@ def lemma_identity_check(y, kappa1):
 
     The identity ties I + ((kappa1^2-1)/kappa1^2) varphi^2 (y (x) y) to
     the product (I + varphi (y (x) y))(I + 2 (varphi'/varphi) y (x) y);
-    it should vanish for every |y| < sqrt(kappa1^2 - 1).
+    it should vanish for every |y| < sqrt(kappa1^2 - 1).  Takes points
+    y (..., n), a single point being the batch ``()``, and gives the
+    residuals (...).
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
     prof = VarphiProfile(kappa1)
-    q = float(np.dot(y, y))
-    phi = float(prof.value(q))
-    dphi = float(prof.deriv(q))
-    yy = outer(y, y)
-    eye = np.eye(n)
+    row, col = y[..., None, :], y[..., :, None]
+    # (1, n) @ (n, 1) matmuls round as np.dot of one point does
+    q = (row @ col)[..., 0]
+    phi = prof.value(q)[..., None]
+    dphi = prof.deriv(q)[..., None]
+    yy = col * row
+    eye = np.eye(y.shape[-1])
     lhs = eye + ((kappa1**2 - 1.0) / kappa1**2) * phi**2 * yy
     rhs = (eye + phi * yy) @ (eye + 2.0 * (dphi / phi) * yy)
-    return float(np.linalg.norm(lhs - rhs))
+    diff = (lhs - rhs).reshape(y.shape[:-1] + (1, -1))
+    return np.sqrt(diff @ np.swapaxes(diff, -1, -2))[..., 0, 0][()]
 
 
 def existence_verdict(design, tol=1e-9):

@@ -300,7 +300,11 @@ def write_json(path, payload):
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    """The JSON value in a file; ``ConfigError`` naming it if it does not parse."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def design_to_files(design, out_dir):
@@ -355,36 +359,42 @@ def phase_to_files(phase, out_dir, constants):
     )
     write_json(
         out / "phase.json",
-        {"k": phase.k, "a": constants.a, "kappa2": constants.kappa2,
+        {"k": constants.k, "a": constants.a, "kappa2": constants.kappa2,
          "warnings": list(phase.warnings)},
     )
 
 
 def load_design(in_dir):
-    """Reload a design emitted by ``design_to_files`` (bit-equal grids)."""
+    """Reload a design emitted by ``design_to_files`` (bit-equal grids).
+
+    The constants and the map are read as a config's are; a design.json
+    that does not describe a design raises ``ConfigError`` naming it.
+    """
+    from .config import read_constants, read_map
     from .geometry import Grid2D
     from .imaging import LensDesign
-    from .maps import BUILTIN_MAPS
-    from .snell import OpticalConstants
 
-    meta = read_json(Path(in_dir) / "design.json")
-    shape = tuple(meta["grid"]["shape"])
+    path = Path(in_dir) / "design.json"
+    meta = read_json(path)
+    try:
+        shape = tuple(meta["grid"]["shape"])
+        read = dict(
+            constants=read_constants(meta["constants"]),
+            target_map=read_map(meta["map"]),
+            x0=np.asarray(meta["x0"], dtype=float),
+            z0=float(meta["z0"]),
+            path_residual=float(meta["path_residual"]),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"bad design {path}: no key {exc}") from exc
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad design {path}: {exc}") from exc
     cols = _read_grid(Path(in_dir) / "rho.csv",
                       ["x1", "x2", "rho", "z", "drho1", "drho2"], shape)
-    grid = Grid2D(x1=cols["x1"][:, 0], x2=cols["x2"][0, :])
-    constants = OpticalConstants(**meta["constants"])
-    target_map = BUILTIN_MAPS[meta["map"]["name"]](meta["map"]["params"])
-    return LensDesign(
-        grid=grid,
-        rho=cols["rho"],
-        z=cols["z"],
-        drho=np.stack([cols["drho1"], cols["drho2"]], axis=-1),
-        target_map=target_map,
-        constants=constants,
-        x0=np.asarray(meta["x0"], dtype=float),
-        z0=float(meta["z0"]),
-        path_residual=float(meta["path_residual"]),
-    )
+    return LensDesign(grid=Grid2D(x1=cols["x1"][:, 0], x2=cols["x2"][0, :]),
+                      rho=cols["rho"], z=cols["z"],
+                      drho=np.stack([cols["drho1"], cols["drho2"]], axis=-1),
+                      **read)
 
 
 def load_phase(in_dir, shape):
@@ -396,7 +406,7 @@ def load_phase(in_dir, shape):
     q = np.stack([cols["Q1"], cols["Q2"]], axis=-1)
     grad = np.stack([cols["dphi_du1"], cols["dphi_du2"]], axis=-1)
     return PhaseMap(Q=q, phi=cols["phi"], grad_tan=grad,
-                    k=float(meta["k"]), warnings=list(meta["warnings"]))
+                    warnings=list(meta["warnings"]))
 
 
 def trace_report_to_files(report, out_dir):

@@ -7,7 +7,7 @@ are then eigenvectors of DS; ``eigen_structure`` extracts the pair of
 eigenvalues the non-singularity test needs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -98,8 +98,9 @@ def dilation(alpha):
     )
 
 
-def horizontal(h, hprime=None):
-    """T x = (h(x1), x2) for an injective one-variable function h."""
+def horizontal(h, hprime):
+    """T x = (h(x1), x2) for an injective one-variable function h with
+    derivative ``hprime``."""
 
     def T(x):
         x = np.asarray(x, dtype=float)
@@ -107,12 +108,10 @@ def horizontal(h, hprime=None):
         out[..., 0] = h(x[..., 0])
         return out
 
-    jac = None
-    if hprime is not None:
-        def jac(x):
-            j = np.zeros(x.shape[:-1] + (2, 2))
-            j[..., 0, 0] = hprime(x[..., 0]) - 1.0
-            return j
+    def jac(x):
+        j = np.zeros(x.shape[:-1] + (2, 2))
+        j[..., 0, 0] = hprime(x[..., 0]) - 1.0
+        return j
 
     return TargetMap(name="horizontal", T=T, jac_S=jac, params={})
 
@@ -165,9 +164,7 @@ def horizontal_poly(coeffs):
     def hp(t):
         return np.polynomial.polynomial.polyval(t, dc)
 
-    m = horizontal(h, hp)
-    return TargetMap(name="horizontal", T=m.T, jac_S=m.jac_S,
-                     params={"coeffs": list(map(float, c))})
+    return replace(horizontal(h, hp), params={"coeffs": list(map(float, c))})
 
 
 BUILTIN_MAPS = {

@@ -1,6 +1,6 @@
 """Lower-face surface representations: analytic graphs and spline fits."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ class Surface:
     value: Callable[[np.ndarray], float]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    params: dict = field(default_factory=dict)
 
     def height(self, x):
         """r(x): a float for a point (2,), an (n,) array for (n, 2)."""
@@ -65,7 +64,6 @@ def flat(r0):
         value=lambda x: np.full(x.shape[:-1], r0),
         grad=lambda x: np.zeros(x.shape),
         hess=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
-        params={"r0": r0},
     )
 
 
@@ -94,7 +92,6 @@ def polynomial(coeffs):
         value=lambda x: ev(c, x),
         grad=lambda x: np.stack([ev(c1, x), ev(c2, x)], axis=-1),
         hess=lambda x: mat2(ev(c11, x), ev(c12, x), ev(c12, x), ev(c22, x)),
-        params={"coeffs": c.tolist()},
     )
 
 
@@ -118,7 +115,6 @@ def from_grid(grid, rho, order=3):
         value=lambda x: sp(x)[0],
         grad=lambda x: np.stack(sp(x, *GRADIENT), axis=-1),
         hess=hess,
-        params={"order": order},
     )
 
 

@@ -31,7 +31,8 @@ def matA_direct(design, x0=None, z0=None):
     x0, z0 = _state_at(design, x0, z0)
     k1 = design.constants.kappa1
     x0 = np.asarray(x0, dtype=float)
-    drho = -rhs_V(x0, np.asarray(z0), design.target_map, k1)
+    drho = -rhs_V(x0, np.asarray(z0), design.target_map, k1,
+                  design.constants.a)
     delta = float(delta_from_drho(drho, k1))
     d2 = hessian_closed_form(design, x0, z0)
     return (

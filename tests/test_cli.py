@@ -192,6 +192,36 @@ def test_trace_on_a_malformed_artifact_exit_2_with_one_line(
     assert name in err
 
 
+def _edit_json(edit):
+    """Damage a JSON artifact by calling ``edit`` on its parsed object."""
+    def damage(path):
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+    return damage
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("design.json", _edit_json(lambda m: m["constants"].update(k=-1.0))),
+    ("design.json", _edit_json(lambda m: m["constants"].update(a=float("nan")))),
+    ("design.json", _edit_json(lambda m: m["map"].update(name="no-such-map"))),
+    ("design.json", _edit_json(lambda m: m.pop("constants"))),
+    ("design.json", _truncate_mid_row),
+    ("phase.json", _truncate_mid_row),
+], ids=["negative-k", "nan-constant", "unknown-map", "no-constants",
+        "cut-design", "cut-phase"])
+def test_trace_on_a_damaged_json_artifact_exit_2_with_one_line(
+        name, damage, dilation_cfg, tmp_path, capsys):
+    assert main(["design-imaging", "--config", dilation_cfg]) == 0
+    out = tmp_path / "out"
+    damage(out / name)
+    capsys.readouterr()
+    assert main(["trace", "--design", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert name in err
+
+
 def test_plot2d_curves(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -268,6 +298,18 @@ def test_lemma_check(tmp_path):
     assert main(["lemma-check", "--config", cfg]) == 0
     report = io.read_json(tmp_path / "out" / "lemma_report.json")
     assert report["max_residual"] <= report["tol"]
+    # the command's one batch against a rejection loop over the same draws
+    kappa1 = CONSTANTS["n2"] / CONSTANTS["n1"]
+    rng = np.random.default_rng(0)
+    radius = 0.95 * np.sqrt(kappa1**2 - 1.0)
+    worst, count = 0.0, 0
+    while count < 1000:
+        y = rng.uniform(-radius, radius, 2)
+        if np.linalg.norm(y) > radius:
+            continue
+        worst = max(worst, float(hybridlens.lemma_identity_check(y, kappa1)))
+        count += 1
+    assert report["max_residual"] == worst
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,6 +26,7 @@ from hybridlens.farfield import (
 )
 from hybridlens.fields import IncidentField, collimated, point_source, vertical
 from hybridlens.geometry import FDStencil, Grid2D, fd_jacobian
+from hybridlens.imaging import delta_from_drho
 from hybridlens.raytrace import TraceableLens, trace_through
 from hybridlens.reports import ConditionReport
 from hybridlens.snell import refract_standard
@@ -134,7 +135,8 @@ class TestMidfieldVertical:
         norms = np.linalg.norm(mid.m, axis=-1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
         assert np.all(mid.d > 0.0)
-        assert np.all(mid.delta >= constants.kappa1)
+        delta = delta_from_drho(d.drho, constants.kappa1)
+        assert np.all(delta >= constants.kappa1)
 
     def test_footprint_hits_target_over_kappa(self, dilation_design, constants):
         # for the imaging design, Q must equal T(x) (ray hits the image

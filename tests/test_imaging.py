@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hybridlens.errors import FeasibilityViolation, PathInconsistency
 from hybridlens.geometry import FDStencil, Grid2D, fd_hessian
 from hybridlens.imaging import (
+    FEASIBILITY_SLACK,
     VarphiProfile,
     default_z0,
     delta_from_drho,
@@ -84,7 +85,7 @@ def test_rhs_v_vanishes_at_fixed_point():
 
 def test_rhs_v_names_the_first_failing_point():
     # rows 2 and 3 leave the slab (z <= |S|/sqrt(kappa1^2 - 1)); row 2 is
-    # reported, by both checks
+    # reported
     x = np.array([[0.1, 0.0], [0.0, 0.4], [0.0, -0.9], [0.5, 0.5]])
     z = np.array([0.5, 0.5, 0.1, 0.1])
     with pytest.raises(FeasibilityViolation) as info:
@@ -92,10 +93,6 @@ def test_rhs_v_names_the_first_failing_point():
     assert str(info.value) == (
         "z = 0.1 outside (0.160997, 1) at x = (0, -0.9) "
         "(slab inequality violated)")
-    with pytest.raises(FeasibilityViolation) as info:
-        rhs_V(x, z, dilation(0.2), KAPPA1)
-    assert str(info.value) == (
-        "|S/z|^2 = 3.24 reaches kappa1^2 - 1 = 1.25 at x = (0, -0.9)")
     with pytest.raises(FeasibilityViolation, match=r"at x = \(0, -0.9\)"):
         rhs_V(x[2], z[2], dilation(0.2), KAPPA1, a=1.0)
     # one state for the whole batch
@@ -104,6 +101,74 @@ def test_rhs_v_names_the_first_failing_point():
     assert str(info.value) == (
         "z = 0.1 outside (0.160997, 1) at x = (0, -0.9) "
         "(slab inequality violated)")
+
+
+def _slab_states(rng, kappa1, a):
+    """Points x with |S| up to 0.9 a sqrt(kappa1^2 - 1) under a dilation,
+    x = 0 among them, and the slab's lower bound |S|/sqrt(kappa1^2 - 1)
+    at each, computed as ``rhs_V`` computes it."""
+    target_map = dilation(0.5)
+    radius = 0.9 * a * math.sqrt(kappa1**2 - 1.0) / 0.5
+    r = radius * np.sqrt(rng.uniform(size=200))
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=200)
+    x = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    x[0] = 0.0
+    sq = target_map.S(x) ** 2
+    return x, target_map, np.sqrt(sq[:, 0] + sq[:, 1]) / math.sqrt(kappa1**2 - 1.0)
+
+
+def _accepted(x, z, target_map, kappa1, a):
+    """Whether ``rhs_V`` accepts each state (x[k], z[k]) on its own."""
+    out = []
+    for xk, zk in zip(x, z):
+        try:
+            rhs_V(xk, zk, target_map, kappa1, a)
+            out.append(True)
+        except FeasibilityViolation as exc:
+            assert str(exc).endswith("(slab inequality violated)")
+            out.append(False)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 100.0])
+@pytest.mark.parametrize("kappa1", [1.33, 1.5, 2.0])
+def test_every_state_rhs_v_accepts_is_inside_the_profile_domain(
+        kappa1, a, rng):
+    """The slab check alone keeps |S/z|^2 below (kappa1^2 - 1)(1 - slack),
+    the domain of the profile kappa1 / (kappa1 - sqrt(y + 1))."""
+    x, target_map, lower = _slab_states(rng, kappa1, a)
+    slack = FEASIBILITY_SLACK * max(a, 1.0)
+    bound, top = lower + slack, a - slack
+    candidates = {
+        "one ulp above the slack": (np.nextafter(bound, np.inf), True),
+        "inside the slab": (bound + rng.uniform(size=bound.size) * (top - bound),
+                            True),
+        "one ulp above |S|/sqrt(kappa1^2 - 1)": (np.nextafter(lower, np.inf),
+                                                 None),
+        "within the slack": (lower + 0.5 * slack, None),
+    }
+    for what, (z, all_accepted) in candidates.items():
+        accepted = _accepted(x, z, target_map, kappa1, a)
+        if all_accepted:
+            assert accepted.all(), what
+        ratio = target_map.S(x[accepted]) / z[accepted, None]
+        y = np.sum(ratio * ratio, axis=-1)
+        assert np.all(y < (kappa1**2 - 1.0) * (1.0 - FEASIBILITY_SLACK)), what
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 100.0])
+@pytest.mark.parametrize("kappa1", [1.33, 1.5, 2.0])
+def test_a_state_on_the_slab_bound_is_rejected(kappa1, a, rng):
+    x, target_map, lower = _slab_states(rng, kappa1, a)
+    bound = lower + FEASIBILITY_SLACK * max(a, 1.0)
+    assert not _accepted(x, bound, target_map, kappa1, a).any()
+
+
+def test_lemma_identity_check_of_a_batch_is_its_rows(rng):
+    y = rng.uniform(-0.5, 0.5, (200, 2))
+    batch = lemma_identity_check(y, KAPPA1)
+    assert batch.shape == (200,)
+    assert np.array_equal(batch, [lemma_identity_check(p, KAPPA1) for p in y])
 
 
 def test_delta_nice_matches_drho_form(dilation_design):

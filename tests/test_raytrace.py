@@ -82,7 +82,6 @@ def test_corrupted_phase_detected(dilation_lens, constants, node_samples):
             Q=dilation_lens.phase.Q,
             phi=dilation_lens.phase.phi,
             grad_tan=1.1 * dilation_lens.phase.grad_tan,
-            k=dilation_lens.phase.k,
         ),
         grid=dilation_lens.grid,
         target_map=dilation_lens.target_map,

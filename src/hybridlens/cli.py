@@ -60,7 +60,6 @@ def _run_checks(cfg):
     reports = []
     tols = cfg.tolerances
     if cfg.target_map is not None:
-        cfg.require_lens()
         reports.append(admissibility(cfg.target_map, cfg.grid, tols["admissibility"]))
         reports.append(
             imaging.thickness_check(cfg.target_map, cfg.constants, cfg.grid)
@@ -91,7 +90,7 @@ def cmd_check(args):
 
 
 def _trace_samples(grid):
-    """Interior node subsample for verification tracing."""
+    """Interior node subsample for verification tracing, taken first."""
     n1, n2 = grid.shape
     if min(n1, n2) <= 2 * TRACE_MARGIN:
         raise ConfigError(
@@ -105,11 +104,10 @@ def _trace_samples(grid):
     return np.column_stack([grid.x1[i.ravel()], grid.x2[j.ravel()]])
 
 
-def _trace_to_files(args, lens, field, constants, out):
-    """Trace the ``_trace_samples`` of the lens's grid through it, write
-    trace_report.csv and trace_aggregates.json to ``out``; the report."""
-    report = raytrace.trace_through(lens, field, constants,
-                                    _trace_samples(lens.grid),
+def _trace_to_files(args, lens, field, constants, samples, out):
+    """Trace ``samples`` through the lens, write trace_report.csv and
+    trace_aggregates.json to ``out``; the report."""
+    report = raytrace.trace_through(lens, field, constants, samples,
                                     gradient_mode=_mode(args))
     io.trace_report_to_files(report, out)
     return report
@@ -125,10 +123,10 @@ def _refused(args, cfg, name, report, failure):
     return True
 
 
-def _verify_and_write(args, cfg, field, mid, surface, det_check, reports,
-                      target_map=None):
+def _verify_and_write(args, cfg, field, mid, surface, det_check, samples,
+                      reports, target_map=None):
     """Build the phase over ``mid`` and write phase.csv and phase.json,
-    trace the lens through ``_trace_to_files``, and write verdict.json:
+    trace ``samples`` through ``_trace_to_files``, and write verdict.json:
     ``reports`` (name -> report), ``det_check`` and the phase warnings.
     Returns the trace report."""
     phase = farfield.build_phase(field, mid, cfg.constants,
@@ -137,7 +135,7 @@ def _verify_and_write(args, cfg, field, mid, surface, det_check, reports,
     io.phase_to_files(phase, out, cfg.constants)
     lens = raytrace.TraceableLens(surface=surface, phase=phase, grid=mid.grid,
                                   target_map=target_map)
-    report = _trace_to_files(args, lens, field, cfg.constants, out)
+    report = _trace_to_files(args, lens, field, cfg.constants, samples, out)
     io.write_json(out / "verdict.json", {
         **{name: r.to_dict() for name, r in reports.items()},
         det_check.name: det_check.to_dict(),
@@ -149,6 +147,7 @@ def _verify_and_write(args, cfg, field, mid, surface, det_check, reports,
 def cmd_design_imaging(args):
     cfg = _load_config(args)
     cfg.require("map", "grid")
+    samples = _trace_samples(cfg.grid)
     pre = combine("pre_checks", _run_checks(cfg))
     if _refused(args, cfg, "pre_checks", pre,
                 f"pre-checks failed ({pre.details})"):
@@ -165,7 +164,7 @@ def cmd_design_imaging(args):
         surface, cfg.constants, design.x0
     )
     report = _verify_and_write(
-        args, cfg, vertical(), mid, surface, det_check,
+        args, cfg, vertical(), mid, surface, det_check, samples,
         {"pre_checks": pre, "existence_verdict": verdict},
         target_map=design.target_map,
     )
@@ -179,7 +178,7 @@ def cmd_design_imaging(args):
 def cmd_design_farfield(args):
     cfg = _load_config(args)
     cfg.require("field", "surface", "grid")
-    cfg.require_lens()
+    samples = _trace_samples(cfg.grid)
     field = cfg.incident_field
     curl = curl_condition(field, cfg.grid, cfg.tolerances["curl"])
     if _refused(args, cfg, "curl_condition", curl, "curl condition failed"):
@@ -189,7 +188,7 @@ def cmd_design_farfield(args):
         field, cfg.surface, cfg.constants, _x0(cfg)
     )
     report = _verify_and_write(args, cfg, field, mid, cfg.surface, det_check,
-                               {"curl_condition": curl})
+                               samples, {"curl_condition": curl})
     print(f"max exit-direction error "
           f"{report.aggregates['max_direction_error']:.3e}")
     return EXIT_OK if curl.passed and det_check.passed else EXIT_DOMAIN
@@ -198,19 +197,19 @@ def cmd_design_farfield(args):
 def cmd_trace(args):
     try:
         design = io.load_design(args.design)
-        phase = io.load_phase(args.design, design.grid.shape)
+        phase = io.load_phase(args.design, design.grid.shape, design.constants)
     except FileNotFoundError as exc:
         raise ConfigError(f"design artifact not found: {exc.filename}") from exc
+    samples = _trace_samples(design.grid)
     lens = raytrace.TraceableLens.from_design(design, phase)
     report = _trace_to_files(args, lens, vertical(), design.constants,
-                             Path(args.out or args.design))
+                             samples, Path(args.out or args.design))
     print(f"traced {len(report)} rays; aggregates: {report.aggregates}")
     return EXIT_OK
 
 
 def cmd_plot2d(args):
     cfg = DesignConfig.from_file(args.config)
-    cfg.require_lens()
     if cfg.alphas is None:
         raise ConfigError("plot2d requires an 'alphas' list")
     if cfg.z0 is None:
@@ -240,8 +239,6 @@ def cmd_plot2d(args):
 def cmd_lemma_check(args):
     cfg = DesignConfig.from_file(args.config)
     kappa1 = cfg.constants.kappa1
-    if not kappa1 > 1.0:
-        raise ConfigError("lemma-check requires n2 > n1 (kappa1 > 1)")
     radius = 0.95 * np.sqrt(kappa1**2 - 1.0)
     n = 1000
     # uniform in the square, kept in the disc: about 1570 of these 2000

@@ -175,10 +175,3 @@ class DesignConfig:
             attr = {"map": "target_map", "field": "incident_field"}.get(name, name)
             if getattr(self, attr) is None:
                 raise ConfigError(f"this command requires a '{name}' section")
-
-    def require_lens(self):
-        """Reject constants that describe no lens (n2 > n1, c > a > 0)."""
-        try:
-            self.constants.require_lens_geometry()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc

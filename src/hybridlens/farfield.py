@@ -156,7 +156,6 @@ def ray_to_metasurface(field, surface, constants, x):
 def midfield_general(field, surface, constants, grid):
     """Trace every grid ray to the metasurface plane through a surface,
     all nodes at once (see ``ray_to_metasurface``)."""
-    constants.require_lens_geometry()
     t, m, d, q = ray_to_metasurface(field, surface, constants, grid.nodes())
     shape = grid.shape
     return MidField(grid=grid, m=m.reshape(shape + (3,)), d=d.reshape(shape),
@@ -165,7 +164,6 @@ def midfield_general(field, surface, constants, grid):
 
 def midfield_vertical(grid, rho, drho, constants):
     """Closed-form mid-lens data for the vertical incident field."""
-    constants.require_lens_geometry()
     k1, a = constants.kappa1, constants.a
     rho = np.asarray(rho, dtype=float)
     drho = np.asarray(drho, dtype=float)
@@ -188,11 +186,11 @@ def sufficient_det_general(field, surface, constants, x0):
       - kappa1 (D rho (x) (m De) + (m De) (x) D rho)
       - kappa1 rho (D(m De) - De (x) Dm) + kappa1 d Dm (x) Dm
     with D^2 h the e' rows of De (grad h = e'), so the field needs no
-    potential; every derivative is analytic when available, nested
-    central differences otherwise (the D(m De) term is third-derivative
-    territory and sets the noise budget for the tolerance).  Rays are
-    traced in three batches: x0, the Jacobian's stencil of (rho, m,
-    m De) and the Hessian's stencil of rho.
+    potential.  rho, m and m De of the traced rays, and De of a field
+    without ``jac``, take order-4 central differences at step 1e-4 (the
+    D(m De) term is third-derivative territory and sets the noise budget
+    for the tolerance).  Rays are traced in three batches: x0, the
+    Jacobian's stencil of (rho, m, m De) and the Hessian's stencil of rho.
     """
     k1 = constants.kappa1
     x0 = np.asarray(x0, dtype=float)
@@ -201,14 +199,18 @@ def sufficient_det_general(field, surface, constants, x0):
     def trace(x):
         return ray_to_metasurface(field, surface, constants, x)
 
+    def de(x):  # nested in D(m De), so a jac-less De takes this stencil too
+        return (field.jacobian(x) if field.jac is not None
+                else fd_jacobian(field.direction, x, stencil))
+
     def rho_m_mde(x):
         rho, m, _, _ = trace(x)
-        mde = (m[..., None, :] @ field.jacobian(x, stencil))[..., 0, :]
+        mde = (m[..., None, :] @ de(x))[..., 0, :]
         return np.concatenate([rho[..., None], m, mde], axis=-1)
 
     rho0, m0, d0, _ = trace(x0)
     e0 = field.direction(x0)
-    de0 = field.jacobian(x0, stencil)
+    de0 = de(x0)
     mde0 = m0 @ de0
     jac = fd_jacobian(rho_m_mde, x0, stencil)
     drho, dm, d_mde = jac[0], jac[1:4], jac[4:]

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import NotIntegrable
 from .geometry import (
-    FDStencil,
     batch_eval,
     constant_over,
     fd_jacobian,
@@ -47,16 +46,16 @@ class IncidentField:
     def eprime(self, x):
         return self.direction(x)[..., :2]
 
-    def jacobian(self, x, stencil=None):
+    def jacobian(self, x):
         """Jacobian (..., 3, 2) of e, analytic when available, else
-        central differences."""
+        central differences at the default step."""
         x = np.asarray(x, dtype=float)
         if self.jac is not None:
             return batch_eval(self.jac, x, (3, 2), f"field {self.name!r} jac")
-        return fd_jacobian(self.direction, x, stencil)
+        return fd_jacobian(self.direction, x)
 
-    def curl_eprime(self, x, stencil=None):
-        j = self.jacobian(x, stencil)
+    def curl_eprime(self, x):
+        j = self.jacobian(x)
         return j[..., 1, 0] - j[..., 0, 1]
 
 
@@ -122,12 +121,8 @@ def curl_condition(field, grid, tol):
     """Max |curl e'| over the grid nodes; passes iff below ``tol``, so a
     non-finite value at any node fails.  The details name the first node
     reaching the maximum, unless it is 0."""
-    stencil = FDStencil(  # used only when the field has no jac
-        h1=max(1e-5, 0.01 * grid.spacing[0]),
-        h2=max(1e-5, 0.01 * grid.spacing[1]),
-    )
     x = grid.nodes()
-    curl = np.abs(field.curl_eprime(x, stencil))
+    curl = np.abs(field.curl_eprime(x))
     k = int(np.argmax(curl))  # the first maximum, or the first NaN
     worst = float(curl[k])
     return ConditionReport(

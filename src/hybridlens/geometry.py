@@ -67,8 +67,8 @@ class FDStencil:
     a batch of points (..., 2), as ``for_point`` makes them.
     """
 
-    h1: float = 1e-5
-    h2: float = 1e-5
+    h1: float
+    h2: float
     order: int = 2
 
     def __post_init__(self):
@@ -80,7 +80,8 @@ class FDStencil:
     @staticmethod
     def for_point(x):
         """Default second-order step max(1e-5, 1e-5 |x_i|) at each point
-        of ``x`` (..., 2), balancing truncation and roundoff."""
+        of ``x`` (..., 2), balancing a first difference's truncation and
+        roundoff."""
         h = np.maximum(1e-5, 1e-5 * np.abs(np.asarray(x, dtype=float)))
         return FDStencil(h1=h[..., 0], h2=h[..., 1])
 
@@ -133,9 +134,11 @@ _HESSIAN_OFFSETS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
 
 def fd_hessian(f, x, stencil=None):
     """Symmetric Hessian (..., 2, 2) of a scalar map on a 9-point stencil,
-    calling f once, on every stencil point of every point of ``x``."""
+    calling f once, on every stencil point of every point of ``x``; by
+    default at steps max(1e-4, 1e-4 |x_i|), as its roundoff is O(1/h^2)."""
     x = np.asarray(x, dtype=float)
-    stencil = stencil or FDStencil.for_point(x)
+    h = np.maximum(1e-4, 1e-4 * np.abs(x))
+    stencil = stencil or FDStencil(h1=h[..., 0], h2=h[..., 1])
     h1, h2 = stencil.steps[..., 0], stencil.steps[..., 1]
     f00, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = _on_stencil(
         f, x, stencil.steps, _HESSIAN_OFFSETS, ())

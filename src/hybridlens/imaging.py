@@ -64,7 +64,6 @@ def feasible_z_interval(s_norm, kappa1, a):
 
 def thickness_check(target_map, constants, grid):
     """a > |S(x)|/sqrt(kappa1^2 - 1) at every node; reports worst margin."""
-    constants.require_lens_geometry()
     k1 = constants.kappa1
     s = target_map.S(grid.nodes())
     smin = np.linalg.norm(s, axis=-1) / math.sqrt(k1**2 - 1.0)
@@ -168,7 +167,6 @@ def solve_rho(target_map, constants, grid, x0, z0=None):
     integrability test is an iff).  A march that leaves the slab raises
     ``FeasibilityViolation`` at the point the staircase meets first.
     """
-    constants.require_lens_geometry()
     k1, a = constants.kappa1, constants.a
     i0, j0 = grid.nearest_index(x0)
     x0 = grid.node(i0, j0)
@@ -328,7 +326,6 @@ def solve_rho_2d(s_func, constants, t_range, z0, step):
     Returns (t, rho) with rho(0) = a - z0; feasibility is enforced at
     every RK4 stage and reported with the first offending t.
     """
-    constants.require_lens_geometry()
     k1, a = constants.kappa1, constants.a
     t_min, t_max = t_range
     if not (t_min <= 0.0 <= t_max):

@@ -377,7 +377,11 @@ def load_design(in_dir):
     path = Path(in_dir) / "design.json"
     meta = read_json(path)
     try:
-        shape = tuple(meta["grid"]["shape"])
+        shape = meta["grid"]["shape"]
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(type(n) is int and n >= 2 for n in shape)):
+            raise ConfigError(f"grid.shape must be two node counts >= 2, "
+                              f"got {shape!r}")
         read = dict(
             constants=read_constants(meta["constants"]),
             target_map=read_map(meta["map"]),
@@ -397,16 +401,29 @@ def load_design(in_dir):
                       **read)
 
 
-def load_phase(in_dir, shape):
+def load_phase(in_dir, shape, constants):
+    """Reload a phase emitted by ``phase_to_files`` on a grid of ``shape``;
+    a phase.json that is not an object with a "warnings" list, or whose
+    "k", "a" and "kappa2" are not those of ``constants``, raises
+    ``ConfigError`` naming it."""
     from .farfield import PhaseMap
 
-    meta = read_json(Path(in_dir) / "phase.json")
+    path = Path(in_dir) / "phase.json"
+    meta = read_json(path)
+    if not (isinstance(meta, dict) and isinstance(meta.get("warnings"), list)):
+        raise ConfigError(f"bad phase {path}: not an object with a "
+                          f"'warnings' list")
+    for name in ("k", "a", "kappa2"):  # JSON round-trips floats exactly
+        if meta.get(name) != getattr(constants, name):
+            raise ConfigError(
+                f"bad phase {path}: {name} = {meta.get(name)!r}, but the "
+                f"design's is {getattr(constants, name)!r}")
     cols = _read_grid(Path(in_dir) / "phase.csv",
                       ["Q1", "Q2", "phi", "dphi_du1", "dphi_du2"], shape)
     q = np.stack([cols["Q1"], cols["Q2"]], axis=-1)
     grad = np.stack([cols["dphi_du1"], cols["dphi_du2"]], axis=-1)
     return PhaseMap(Q=q, phi=cols["phi"], grad_tan=grad,
-                    warnings=list(meta["warnings"]))
+                    warnings=meta["warnings"])
 
 
 def trace_report_to_files(report, out_dir):

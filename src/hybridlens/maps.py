@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import NotEigenvector
 from .geometry import (
-    FDStencil,
     batch_eval,
     constant_over,
     cross2,
@@ -60,23 +59,23 @@ class TargetMap:
         x = np.asarray(x, dtype=float)
         return self.target(x) - x
 
-    def DS(self, x, stencil=None):
+    def DS(self, x):
         """DS (..., 2, 2) at points (..., 2): ``jac_S`` when given, else
-        central differences of S."""
+        central differences of S at the default step."""
         x = np.asarray(x, dtype=float)
         if self.jac_S is not None:
             return batch_eval(self.jac_S, x, (2, 2), f"map {self.name!r} jac_S")
-        return fd_jacobian(self.S, x, stencil)
+        return fd_jacobian(self.S, x)
 
-    def grad_norm_sq(self, x, stencil=None):
+    def grad_norm_sq(self, x):
         """D|S|^2 = 2 S DS by the chain rule (row-vector convention)."""
         s2 = 2.0 * self.S(x)
         # a stacked (1, 2) @ (2, 2) matmul rounds each row as s2 @ DS of
         # one point does
-        return (s2[..., None, :] @ self.DS(x, stencil))[..., 0, :]
+        return (s2[..., None, :] @ self.DS(x))[..., 0, :]
 
-    def curl_S(self, x, stencil=None):
-        ds = self.DS(x, stencil)
+    def curl_S(self, x):
+        ds = self.DS(x)
         return ds[..., 1, 0] - ds[..., 0, 1]
 
 
@@ -179,15 +178,11 @@ BUILTIN_MAPS = {
 def admissibility(target_map, grid, tol):
     """Max |curl S| and |S x D|S|^2| over the grid nodes; passes iff both
     are <= tol, so a non-finite value at any node fails."""
-    stencil = FDStencil(  # used only when the map has no jac_S
-        h1=max(1e-6, 1e-4 * grid.spacing[0]),
-        h2=max(1e-6, 1e-4 * grid.spacing[1]),
-    )
     x = grid.nodes()
     # np.max propagates NaN, so a node where S or DS is undefined fails
-    worst_curl = float(np.max(np.abs(target_map.curl_S(x, stencil))))
+    worst_curl = float(np.max(np.abs(target_map.curl_S(x))))
     worst_cross = float(np.max(np.abs(
-        cross2(target_map.S(x), target_map.grad_norm_sq(x, stencil))
+        cross2(target_map.S(x), target_map.grad_norm_sq(x))
     )))
     failed = [name for name, worst in
               [("curl S", worst_curl), ("S x D|S|^2", worst_cross)]

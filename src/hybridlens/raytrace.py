@@ -126,7 +126,6 @@ def trace_through(lens, incident_field, constants, samples,
     and the phase take the values and derivatives of the nearest point
     of the box; nothing is extrapolated.
     """
-    constants.require_lens_geometry()
     k1, k2 = constants.kappa1, constants.kappa2
     a, c = constants.a, constants.c
     samples = np.atleast_2d(np.asarray(samples, dtype=float))

@@ -30,6 +30,8 @@ class OpticalConstants:
     Medium I is below the lower face, II inside the lens, III above the
     metasurface plane {x3 = a}; the target plane is {x3 = c}.  ``k`` is
     the wavenumber in medium II (the medium just before the metasurface).
+    Constants that describe no lens, without n2 > n1 (kappa1 > 1) and
+    c > a > 0, cannot be built.
     """
 
     n1: float
@@ -48,6 +50,10 @@ class OpticalConstants:
             raise ValueError("refractive indices must be positive")
         if self.k <= 0:
             raise ValueError("wavenumber must be positive")
+        if not (self.kappa1 > 1.0):
+            raise ValueError("lens problems require n2 > n1 (kappa1 > 1)")
+        if not (self.c > self.a > 0.0):
+            raise ValueError("lens problems require c > a > 0")
 
     @property
     def kappa1(self):
@@ -56,12 +62,6 @@ class OpticalConstants:
     @property
     def kappa2(self):
         return self.n3 / self.n2
-
-    def require_lens_geometry(self):
-        if not (self.kappa1 > 1.0):
-            raise ValueError("lens problems require n2 > n1 (kappa1 > 1)")
-        if not (self.c > self.a > 0.0):
-            raise ValueError("lens problems require c > a > 0")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import FDStencil, batch_eval, fd_gradient, fd_hessian, mat2
+from .geometry import batch_eval, fd_gradient, fd_hessian, mat2
 from .splines import GRADIENT, HESSIAN, GridSpline
 
 
@@ -19,7 +19,7 @@ class Surface:
     ``value``, ``grad`` and ``hess`` map points (..., 2) to r (...), its
     gradient (..., 2) and its Hessian (..., 2, 2); a single point is
     the batch ``()``.  Without ``grad`` or ``hess`` the derivatives are
-    central differences of ``value``.
+    central differences of ``value`` at the default step.
     """
 
     name: str
@@ -45,7 +45,7 @@ class Surface:
         x = np.asarray(x, dtype=float)
         if self.hess is not None:
             return batch_eval(self.hess, x, (2, 2), f"surface {self.name!r} hess")
-        return fd_hessian(self.value, x, FDStencil(1e-4, 1e-4))
+        return fd_hessian(self.value, x)
 
     def normal(self, x):
         """Unit normal with positive vertical component: (3,) for a point,

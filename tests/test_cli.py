@@ -148,9 +148,11 @@ def test_grid_too_small_to_trace_exit_2(command, dilation_cfg, tmp_path, capsys)
             "output_dir": str(tmp_path / "out"),
         },
     )
-    assert main([command, "--config", cfg, "--grid", "10"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "at least 11 nodes per axis" in err
+    for nodes in ("2", "3", "10"):
+        assert main([command, "--config", cfg, "--grid", nodes]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at least 11 nodes per axis" in err
+        assert not (tmp_path / "out").exists()
     assert main([command, "--config", cfg, "--grid", "11"]) == 0
 
 
@@ -201,6 +203,10 @@ def _edit_json(edit):
     return damage
 
 
+def _set_grid_shape(shape):
+    return _edit_json(lambda m: m["grid"].update(shape=shape))
+
+
 @pytest.mark.parametrize("name, damage", [
     ("design.json", _edit_json(lambda m: m["constants"].update(k=-1.0))),
     ("design.json", _edit_json(lambda m: m["constants"].update(a=float("nan")))),
@@ -208,8 +214,22 @@ def _edit_json(edit):
     ("design.json", _edit_json(lambda m: m.pop("constants"))),
     ("design.json", _truncate_mid_row),
     ("phase.json", _truncate_mid_row),
+    ("design.json", _edit_json(lambda m: m["constants"].update(n2=0.9))),
+    ("design.json", _edit_json(lambda m: m["constants"].update(c=0.5))),
+    ("design.json", _set_grid_shape([41.0, 41])),
+    ("design.json", _set_grid_shape("ab")),
+    ("design.json", _set_grid_shape([41, 41, 1])),
+    ("design.json", _set_grid_shape([1, 41 * 41])),
+    ("phase.json", lambda path: path.write_text("[1, 2]")),
+    ("phase.json", _edit_json(lambda m: m.pop("warnings"))),
+    ("phase.json", _edit_json(lambda m: m.update(k=2.0))),
+    ("phase.json", _edit_json(lambda m: m.update(a=0.5))),
+    ("phase.json", _edit_json(lambda m: m.update(kappa2=0.5))),
 ], ids=["negative-k", "nan-constant", "unknown-map", "no-constants",
-        "cut-design", "cut-phase"])
+        "cut-design", "cut-phase", "n2-below-n1", "c-below-a",
+        "float-shape", "string-shape", "three-axis-shape", "one-row-shape",
+        "phase-not-an-object", "no-warnings", "other-k", "other-a",
+        "other-kappa2"])
 def test_trace_on_a_damaged_json_artifact_exit_2_with_one_line(
         name, damage, dilation_cfg, tmp_path, capsys):
     assert main(["design-imaging", "--config", dilation_cfg]) == 0
@@ -403,6 +423,7 @@ MALFORMED = {
     "check-n2-below-n1": ("check", IMAGING, {"constants": NO_LENS}),
     "plot2d-n2-below-n1": ("plot2d", PROFILES, {"constants": NO_LENS}),
     "lemma-n2-below-n1": ("lemma-check", IMAGING, {"constants": NO_LENS}),
+    "check-field-n2-below-n1": ("check", FARFIELD, {"constants": NO_LENS}),
     "grid-n-0": ("check", IMAGING, {"grid": {**IMAGING["grid"], "n": 0}}),
     "grid-n-1": ("check", IMAGING, {"grid": {**IMAGING["grid"], "n": 1}}),
     "grid-n-1-by-11": ("design-imaging", IMAGING,

@@ -317,6 +317,20 @@ class TestSufficientDets:
                 for field in (full, e_only(full))]
         assert dets[1] == pytest.approx(dets[0], rel=rel)
 
+    def test_general_takes_de_of_a_jacless_field_at_its_own_stencil(
+            self, constants):
+        """D(m De) nests De in a difference, so a field without jac gets
+        De at the determinant's order-4 step 1e-4, not the default."""
+        bare = e_only(point_source((0.3, -0.2, -4.0)))
+        stencil = FDStencil(1e-4, 1e-4, order=4)
+        given = dataclasses.replace(
+            bare, jac=lambda x: fd_jacobian(bare.direction, x, stencil))
+        for x0 in ([0.0, 0.0], [0.1, -0.2], [0.3, 0.1]):
+            x0 = np.array(x0)
+            assert (sufficient_det_general(bare, FACE, constants, x0).margins
+                    == sufficient_det_general(given, FACE, constants,
+                                              x0).margins)
+
 
 class TestEigenvalueSufficient:
     def test_singular_hessian_raises(self, constants):

@@ -3,7 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hybridlens.fields import point_source, recover_potential
+from hybridlens.fields import (
+    IncidentField,
+    curl_condition,
+    point_source,
+    recover_potential,
+)
 from hybridlens.geometry import (
     FDStencil,
     Grid2D,
@@ -16,7 +21,8 @@ from hybridlens.geometry import (
     staircase,
 )
 from hybridlens.imaging import rhs_V
-from hybridlens.maps import dilation
+from hybridlens.maps import TargetMap, admissibility, dilation
+from hybridlens.surfaces import Surface
 
 
 def test_cross2_basis():
@@ -161,6 +167,52 @@ def test_fd_rejects_a_single_point_callback():
         for fd in (fd_gradient, fd_jacobian, fd_hessian):
             with pytest.raises(ValueError):
                 fd(f, x, FDStencil(1e-3, 1e-3))
+
+
+def test_callbacks_without_derivatives_take_the_default_step(rng):
+    """A map without jac_S, a field without jac and a surface without hess
+    are differentiated by fd_jacobian / fd_hessian at their default
+    steps, bit for bit, and so are the admissibility and curl checks:
+    max(1e-5, 1e-5 |x_i|) for a first difference, max(1e-4, 1e-4 |x_i|)
+    for the Hessian's second one."""
+    x = rng.uniform(-2.0, 2.0, (40, 2))
+    default = FDStencil.for_point(x)
+    bare_map = TargetMap(name="bare", T=lambda p: p + 0.1 * np.sin(p[..., ::-1]))
+    bare_field = IncidentField(name="bare", e=point_source([0.3, -0.2, -4.0]).e)
+    bare_surface = Surface(name="bare",
+                           value=lambda p: np.cos(p[..., 0]) * np.exp(p[..., 1]))
+    ds = fd_jacobian(bare_map.S, x, default)
+    de = fd_jacobian(bare_field.direction, x, default)
+    assert np.array_equal(bare_map.DS(x), ds)
+    assert np.array_equal(bare_field.jacobian(x), de)
+    h = np.maximum(1e-4, 1e-4 * np.abs(x))
+    assert np.array_equal(bare_surface.hessian(x),
+                          fd_hessian(bare_surface.value, x,
+                                     FDStencil(h[:, 0], h[:, 1])))
+
+    grid = Grid2D.from_box(((-0.7, 0.7), (-0.4, 0.9)), 7, 5)
+    nodes = grid.nodes()
+    ds = fd_jacobian(bare_map.S, nodes, FDStencil.for_point(nodes))
+    de = fd_jacobian(bare_field.direction, nodes, FDStencil.for_point(nodes))
+    worst_curl_s = np.max(np.abs(ds[..., 1, 0] - ds[..., 0, 1]))
+    worst_curl_e = np.max(np.abs(de[..., 1, 0] - de[..., 0, 1]))
+    assert (admissibility(bare_map, grid, 1.0).margins["max_abs_curl_S"]
+            == worst_curl_s)
+    assert (curl_condition(bare_field, grid, 1.0).margins["max_abs_curl"]
+            == worst_curl_e)
+
+
+def test_fd_hessian_default_step_keeps_roundoff_small(rng):
+    """The default Hessian step suits a second difference: on
+    r = cos(x1) exp(x2) the error stays below 1e-6 of the Hessian's size
+    (at the first-difference step 1e-5 it reaches 4.5e-6)."""
+    x = rng.uniform(-2.0, 2.0, (2000, 2))
+    r = np.cos(x[:, 0]) * np.exp(x[:, 1])
+    s = np.sin(x[:, 0]) * np.exp(x[:, 1])
+    exact = np.stack([np.stack([-r, -s], -1), np.stack([-s, r], -1)], -2)
+    h = fd_hessian(lambda p: np.cos(p[..., 0]) * np.exp(p[..., 1]), x)
+    err = np.max(np.abs(h - exact), axis=(1, 2)) / np.max(np.abs(exact), axis=(1, 2))
+    assert err.max() < 1e-6
 
 
 def test_fd_hessian_symmetric_and_exact_for_quadratics():

@@ -208,7 +208,7 @@ def test_phase_round_trip(dilation_design, constants, tmp_path):
     mid = midfield_vertical(d.grid, d.rho, d.drho, constants)
     phase = build_phase(vertical(), mid, constants)
     io.phase_to_files(phase, tmp_path, constants)
-    loaded = io.load_phase(tmp_path, d.grid.shape)
+    loaded = io.load_phase(tmp_path, d.grid.shape, constants)
     assert np.array_equal(loaded.phi, phase.phi)
     assert np.array_equal(loaded.Q, phase.Q)
     assert np.array_equal(loaded.grad_tan, phase.grad_tan)

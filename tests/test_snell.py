@@ -243,8 +243,14 @@ class TestOpticalConstants:
             OpticalConstants(n1=1.0, n2=-1.0, n3=1.0)
 
     def test_lens_geometry_requirements(self):
-        with pytest.raises(ValueError):
-            OpticalConstants(n1=1.5, n2=1.0, n3=1.0).require_lens_geometry()
-        with pytest.raises(ValueError):
-            OpticalConstants(n1=1.0, n2=1.5, n3=1.0, a=2.0, c=1.0).require_lens_geometry()
-        OpticalConstants(n1=1.0, n2=1.5, n3=1.0, a=1.0, c=2.0).require_lens_geometry()
+        """Constants that describe no lens cannot be built."""
+        for values, message in [
+            (dict(n1=1.5, n2=1.0), "require n2 > n1"),
+            (dict(a=1.0, c=1.0), "require c > a > 0"),
+            (dict(a=0.0), "require c > a > 0"),
+            (dict(a=-1.0), "require c > a > 0"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                OpticalConstants(**{"n1": 1.0, "n2": 1.5, "n3": 1.0, **values})
+        lens = OpticalConstants(n1=1.0, n2=1.5, n3=1.0, a=1.0, c=2.0)
+        assert (lens.kappa1, lens.a, lens.c) == (1.5, 1.0, 2.0)

@@ -1,15 +1,14 @@
 """JSON design configuration with strict validation."""
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .geometry import Grid2D
+from .io import read_json
 from .maps import BUILTIN_MAPS
 from .snell import OpticalConstants
 from .surfaces import BUILTIN_SURFACES
@@ -163,11 +162,9 @@ class DesignConfig:
     @staticmethod
     def from_file(path):
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = read_json(path)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         return DesignConfig.from_dict(raw)
 
     def require(self, *names):

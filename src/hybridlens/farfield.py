@@ -189,7 +189,8 @@ def sufficient_det_general(field, surface, constants, x0):
     potential.  rho, m and m De of the traced rays, and De of a field
     without ``jac``, take order-4 central differences at step 1e-4 (the
     D(m De) term is third-derivative territory and sets the noise budget
-    for the tolerance).  Rays are traced in three batches: x0, the
+    for the tolerance); D^2 rho takes the 9-point second-order stencil
+    at the same step.  Rays are traced in three batches: x0, the
     Jacobian's stencil of (rho, m, m De) and the Hessian's stencil of rho.
     """
     k1 = constants.kappa1
@@ -214,7 +215,7 @@ def sufficient_det_general(field, surface, constants, x0):
     mde0 = m0 @ de0
     jac = fd_jacobian(rho_m_mde, x0, stencil)
     drho, dm, d_mde = jac[0], jac[1:4], jac[4:]
-    d2rho = fd_hessian(lambda x: trace(x)[0], x0, stencil)
+    d2rho = fd_hessian(lambda x: trace(x)[0], x0, FDStencil(1e-4, 1e-4))
 
     matrix = (
         de0[:2]

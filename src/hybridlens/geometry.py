@@ -133,12 +133,16 @@ _HESSIAN_OFFSETS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
 
 
 def fd_hessian(f, x, stencil=None):
-    """Symmetric Hessian (..., 2, 2) of a scalar map on a 9-point stencil,
-    calling f once, on every stencil point of every point of ``x``; by
-    default at steps max(1e-4, 1e-4 |x_i|), as its roundoff is O(1/h^2)."""
+    """Symmetric Hessian (..., 2, 2) of a scalar map on the 9-point
+    second-order stencil, calling f once, on every stencil point of every
+    point of ``x``; by default at steps max(1e-4, 1e-4 |x_i|), as its
+    roundoff is O(1/h^2).  A stencil of another order raises ValueError."""
     x = np.asarray(x, dtype=float)
     h = np.maximum(1e-4, 1e-4 * np.abs(x))
     stencil = stencil or FDStencil(h1=h[..., 0], h2=h[..., 1])
+    if stencil.order != 2:
+        raise ValueError(f"fd_hessian takes a second-order stencil, "
+                         f"got order {stencil.order}")
     h1, h2 = stencil.steps[..., 0], stencil.steps[..., 1]
     f00, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = _on_stencil(
         f, x, stencil.steps, _HESSIAN_OFFSETS, ())

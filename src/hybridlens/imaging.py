@@ -33,10 +33,6 @@ class VarphiProfile:
 
     kappa1: float
 
-    def __post_init__(self):
-        if self.kappa1 <= 1.0:
-            raise ValueError("profile requires kappa1 > 1")
-
     @property
     def y_max(self):
         return self.kappa1**2 - 1.0

@@ -3,19 +3,19 @@
 Floats are written with 17 significant digits ("%.17g", C locale) so a
 written-and-reloaded design is bit-equal to the original.  The CSV bytes
 equal ``np.savetxt(fmt="%.17g", delimiter=",", comments="")``.  The
-writer formats a block of rows at a time with array code:
+writer formats a block of rows at a time:
 
-- digits: the 17-digit integer ``D`` and decimal exponent ``p`` of each
-  finite value with 1e-280 <= |x| <= 1e280 come from ``x * 10**(16 - p)``
-  in double-double arithmetic (Dekker's product against a two-double
-  table of the powers of ten, built from exact integers), rounded half
-  to even.  A value whose scaled fraction lies within ``_TIE_WINDOW`` of
-  one half, or whose ``p`` does not settle after one correction, or that
-  lies outside that range, is formatted by Python's ``%`` instead;
+- digits: each value with 1e-4 <= |x| <= 1e16, which "%.17g" writes in
+  fixed notation, takes array code.  Its decimal exponent ``p`` lies in
+  [-4, 16], so the scaling ``10**(16 - p)`` is an exact double, Dekker's
+  product gives ``x * 10**(16 - p)`` exactly, and ``np.rint`` rounds it
+  to the 17-digit integer ``D``, a tie half to even as Python does.
+  Every other value (zeros, infinities, nan, the magnitudes written in
+  exponent notation), and one whose ``p`` does not settle after one
+  correction, is formatted by Python's ``%``, as ``np.savetxt`` does;
 - layout: each value is gathered into a fixed-width byte row from a
-  pattern keyed by its sign, notation ("%g" takes fixed notation for
-  -4 <= p < 17), ``p`` and count of significant digits.  Zeros,
-  infinities and nan have patterns of their own;
+  pattern keyed by its sign, ``p`` and count of significant digits, or
+  by the length of Python's text;
 - rows: the separator follows each value's text, and one boolean mask
   keeps the valid bytes of the block.
 """
@@ -29,8 +29,8 @@ import numpy as np
 from .errors import ConfigError
 
 #: Rows formatted per pass.  It bounds the writer's temporary arrays
-#: (about 300 bytes per value) whatever the size of the file; a block of
-#: a 6-column file then fits in a 2 MB cache.
+#: whatever the size of the file: at their peak about 390 bytes per value,
+#: 200 of them the gather index, so 2.4 MB for a block of a 6-column file.
 _BLOCK_ROWS = 1024
 #: Longest "%.17g" text of a float64: "-2.2250738585072014e-308".
 _WIDTH = 24
@@ -39,30 +39,22 @@ _WIDTH = 24
 # gathered.  Columns 0-15 hold digits 2-17 of the value, or, for a value
 # formatted by Python, its text (at most _WIDTH bytes, so it ends before
 # _SEP).  Digits are written 4 bytes at a time, and the separator with
-# the constants as one 8-byte word.
-_EXPONENT = 16       # 16-19: "0ddd", the absolute decimal exponent
-_ZERO = _EXPONENT    # so a "0" (the exponent is below 1000)
-_LEAD = 20           # the first digit
-_EXPONENT_SIGN = 21
+# the constants as one more 4-byte word.
+_LEAD = 16           # the first digit
 _SEP = 24            # "," or "\n"
-_CONSTANTS = b"-.einfa"
-_MINUS, _DOT, _E, _I, _N, _F, _A = range(_SEP + 1, _SEP + 1 + len(_CONSTANTS))
+_CONSTANTS = b"-.0"
+_MINUS, _DOT, _ZERO = range(_SEP + 1, _SEP + 1 + len(_CONSTANTS))
 _SOURCE_WIDTH = 32
 
-# Layout modes.  Modes 0-20 are fixed notation with exponent p = mode - 4.
-_EXP2, _EXP3 = 21, 22            # exponent notation, 2 or 3 exponent digits
-_ZERO_MODE, _INF, _NAN = 23, 24, 25
-_PYTHON = 26                     # Python's text; its count is its length
-_MODES = 27
-_COUNTS = _WIDTH + 1             # also the width of a laid-out value
+#: Magnitudes the array path takes: "%.17g" writes them in fixed
+#: notation, and each scaling 10**(16 - p) is an exact double.
+_LOWEST, _HIGHEST = 1e-4, 1e16
+_P_MIN, _P_MAX = -4, 16          # their decimal exponents
 
-#: A scaled value this close to a rounding tie is left to Python.
-_TIE_WINDOW = 1e-9
-#: Magnitudes the array path takes: within them no product of the
-#: double-double scaling overflows or underflows.
-_LOWEST, _HIGHEST = 1e-280, 1e280
-# Scalings 10**q for q = 16 - p, p = floor(log10|x|) +- 1.
-_Q_MIN, _Q_MAX = 16 - 281, 16 + 281
+# Layout modes.  Modes 0-20 are fixed notation with exponent p = mode - 4.
+_PYTHON = _P_MAX - _P_MIN + 1    # Python's text; its count is its length
+_MODES = _PYTHON + 1
+_COUNTS = _WIDTH + 1             # also the width of a laid-out value
 _VELTKAMP = 134217729.0  # 2**27 + 1
 
 
@@ -73,47 +65,18 @@ def _split(a):
     return hi, a - hi
 
 
-def _powers_of_ten():
-    """Rows hi, lo, hi's two halves: 10**q = hi + lo to about 2**-106,
-    for q in [_Q_MIN, _Q_MAX], each part rounded from exact integers."""
-    hi, lo = [], []
-    for q in range(_Q_MIN, _Q_MAX + 1):
-        if q >= 0:
-            exact = 10**q
-            hi.append(float(exact))
-            lo.append(float(exact - int(hi[-1])))
-        else:
-            d = 10**-q
-            hi.append(1 / d)  # int / int rounds correctly
-            num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * d) / (den * d))
-    hi = np.array(hi)
-    return np.stack([hi, np.array(lo), *_split(hi)])
-
-
 def _layout(sign, mode, count):
     """The source columns that spell one value of the given key."""
-    digits = [_LEAD, *range(16)]
-    if mode < _EXP2:
-        p = mode - 4
-        if p < 0:
-            cols = [_ZERO, _DOT] + [_ZERO] * (-p - 1) + digits[:count]
-        else:
-            cols = digits[:p + 1]
-            if count > p + 1:
-                cols += [_DOT] + digits[p + 1:count]
-    elif mode <= _EXP3:
-        cols = digits[:1] + ([_DOT] + digits[1:count] if count > 1 else [])
-        cols += [_E, _EXPONENT_SIGN]
-        cols += list(range(_EXPONENT + (2 if mode == _EXP2 else 1), _EXPONENT + 4))
-    elif mode == _ZERO_MODE:
-        cols = [_ZERO]
-    elif mode == _INF:
-        cols = [_I, _N, _F]
-    elif mode == _NAN:
-        return [_N, _A, _N]  # "%g" drops the sign of a nan
-    else:
+    if mode == _PYTHON:
         return list(range(count))
+    digits = [_LEAD, *range(16)]
+    p = mode + _P_MIN
+    if p < 0:
+        cols = [_ZERO, _DOT] + [_ZERO] * (-p - 1) + digits[:count]
+    else:
+        cols = digits[:p + 1]
+        if count > p + 1:
+            cols += [_DOT] + digits[p + 1:count]
     return [_MINUS] * sign + cols
 
 
@@ -125,11 +88,7 @@ def _layouts():
     lengths = np.zeros((2, _MODES, _COUNTS, 1), dtype=np.intp)
     for sign in (0, 1):
         for mode in range(_MODES):
-            if mode <= _EXP3:
-                counts = range(1, 18)
-            else:
-                counts = range(1, _COUNTS) if mode == _PYTHON else (1,)
-            for count in counts:
+            for count in range(1, _COUNTS if mode == _PYTHON else 18):
                 cols = _layout(sign, mode, count)
                 patterns[sign, mode, count, :len(cols)] = cols
                 lengths[sign, mode, count] = len(cols)
@@ -149,8 +108,10 @@ def _four_digit_tables():
 @functools.cache
 def _tables():
     """The writer's constant tables, built on its first call (a few ms)
-    so that importing the package does not pay for them."""
-    tables = (_powers_of_ten(), *_layouts(), *_four_digit_tables())
+    so that importing the package does not pay for them.  The first is
+    10**q for q in [0, 16 - _P_MIN], each exact."""
+    pow10 = np.array([float(10**q) for q in range(16 - _P_MIN + 1)])
+    tables = (pow10, *_layouts(), *_four_digit_tables())
     for table in tables:
         table.flags.writeable = False  # shared by every later call
     return tables
@@ -158,15 +119,15 @@ def _tables():
 
 def _scaled(pow10, a, p):
     """``D = round(a * 10**(16 - p))`` (int64) and ``V - D`` (float),
-    ``V`` the exact product, to an error far below _TIE_WINDOW."""
-    hi, lo, hh, hl = np.take(pow10, 16 - p - _Q_MIN, axis=1)
+    ``V`` the exact product."""
+    b = np.take(pow10, 16 - p)
     ah, al = _split(a)
-    ph = a * hi
-    pl = ((ah * hh - ph) + ah * hl + al * hh) + al * hl  # a * hi == ph + pl
-    rest = pl + a * lo
+    bh, bl = _split(b)
+    ph = a * b
+    pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl  # a * b == ph + pl
     # |ph| >= 2**53 wherever the result is kept, so ph is an even integer
-    near = np.rint(rest)
-    return ph.astype(np.int64) + near.astype(np.int64), rest - near
+    near = np.rint(pl)
+    return ph.astype(np.int64) + near.astype(np.int64), pl - near
 
 
 def _below(d, frac):
@@ -176,31 +137,31 @@ def _below(d, frac):
 
 def _digits(pow10, a):
     """For each a in [_LOWEST, _HIGHEST]: the decimal exponent p and the
-    17-digit integer D (int64) of its "%.17g" text, and whether a lies too
-    near a rounding tie for D to be trusted."""
-    p = np.floor(np.log10(a)).astype(np.int64)
+    17-digit integer D (int64) of its "%.17g" text, and whether p did
+    not settle after one correction."""
+    p = np.clip(np.floor(np.log10(a)), _P_MIN, _P_MAX).astype(np.int64)
     d, frac = _scaled(pow10, a, p)
     off = np.flatnonzero(_below(d, frac) | (d > 10**17))
+    unsettled = np.zeros(a.size, dtype=bool)
     if off.size:
         p[off] += np.where(d[off] > 10**17, 1, -1)
         d[off], frac[off] = _scaled(pow10, a[off], p[off])
-        # p still off: marked as a tie, so that Python formats it
-        frac[off[_below(d[off], frac[off]) | (d[off] > 10**17)]] = 0.5
+        unsettled[off] = _below(d[off], frac[off]) | (d[off] > 10**17)
     carry = d == 10**17  # rounding up reached the next power of ten
     d[carry] = 10**16
-    return p + carry, d, np.abs(frac) > 0.5 - _TIE_WINDOW
+    return p + carry, d, unsettled
 
 
 def _format_block(x, sep_words):
     """The text of rows ``x`` (2-D), each value "%.17g" and followed by
     the separator of its column.  ``sep_words`` holds, per column, its
-    separator and then _CONSTANTS as one uint64."""
+    separator and then _CONSTANTS as one uint32."""
     pow10, patterns, keep, digits4, significant4 = _tables()
     n = x.size
     flat = x.ravel()
     mag = np.abs(flat)
     fast = (mag >= _LOWEST) & (mag <= _HIGHEST)
-    p, d, near_tie = _digits(pow10, np.where(fast, mag, 1.0))
+    p, d, unsettled = _digits(pow10, np.where(fast, mag, 1.0))
 
     head = (d // 10**8).astype(np.int32)  # the first 9 digits
     tail = (d - head.astype(np.int64) * 10**8).astype(np.int32)
@@ -217,18 +178,12 @@ def _format_block(x, sep_words):
     words = src.view(np.uint32)
     for i, g in enumerate((g1, g2, g3, g4)):
         words[:, i] = np.take(digits4, g)
-    words[:, _EXPONENT // 4] = np.take(digits4, np.abs(p))
     src[:, _LEAD] = lead + ord("0")
-    src[:, _EXPONENT_SIGN] = np.where(p < 0, ord("-"), ord("+"))
-    src.view(np.uint64)[:, _SEP // 8] = np.tile(sep_words, n // sep_words.size)
+    words[:, _SEP // 4] = np.tile(sep_words, n // sep_words.size)
 
-    mode = np.where((p < -4) | (p > 16), _EXP2, p + 4)
-    mode[np.abs(p) >= 100] = _EXP3
-    mode[flat == 0] = _ZERO_MODE
-    mode[np.isinf(flat)] = _INF
-    mode[np.isnan(flat)] = _NAN
+    mode = p - _P_MIN
     sign = np.signbit(flat)
-    python = np.flatnonzero(np.where(fast, near_tie, np.isfinite(flat) & (flat != 0)))
+    python = np.flatnonzero(~fast | unsettled)
     if python.size:
         text = ("%-24.17g" * python.size % tuple(flat[python].tolist())).encode()
         text = np.frombuffer(text, dtype=np.uint8).reshape(-1, _WIDTH)
@@ -250,7 +205,7 @@ def write_csv(path, header, columns):
     if any(c.size != columns[0].size for c in columns):
         raise ValueError("columns must have equal length")
     seps = [b","] * (len(columns) - 1) + [b"\n"]
-    sep_words = np.frombuffer(b"".join(s + _CONSTANTS for s in seps), dtype=np.uint64)
+    sep_words = np.frombuffer(b"".join(s + _CONSTANTS for s in seps), dtype=np.uint32)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, columns[0].size, _BLOCK_ROWS):

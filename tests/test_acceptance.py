@@ -199,7 +199,7 @@ def test_criterion_5_closed_forms(design201):
         i, j = rng.integers(30, 171, 2)
         x = design.grid.node(i, j)
         closed = hessian_closed_form(design, x0=x)
-        fd = fd_hessian(surf.height, x, FDStencil(1e-4, 1e-4, order=4))
+        fd = fd_hessian(surf.height, x, FDStencil(1e-4, 1e-4))
         worst_hess = max(worst_hess,
                          float(np.max(np.abs(closed - fd)) / np.max(np.abs(closed))))
         a1 = matA_closed_form(design, x0=x)

@@ -59,8 +59,9 @@ class TestVarphiProfile:
             prof.value(-0.1)
 
     def test_requires_kappa_above_one(self):
-        with pytest.raises(ValueError):
-            VarphiProfile(0.9)
+        # kappa1 <= 1 leaves the domain [0, kappa1^2 - 1) empty
+        with pytest.raises(FeasibilityViolation):
+            VarphiProfile(0.9).value(0.0)
 
 
 def test_feasible_z_interval():
@@ -282,7 +283,7 @@ class TestClosedForms:
             i, j = rng.integers(20, 81, 2)
             x = dilation_design.grid.node(i, j)
             closed = hessian_closed_form(dilation_design, x0=x)
-            fd = fd_hessian(surf.height, x, FDStencil(1e-4, 1e-4, order=4))
+            fd = fd_hessian(surf.height, x, FDStencil(1e-4, 1e-4))
             worst = max(worst, np.max(np.abs(closed - fd)) / np.max(np.abs(closed)))
         assert worst < 1e-4
 

@@ -79,6 +79,19 @@ def _random_bit_patterns():
     return np.concatenate([bits.view(np.float64), extra])
 
 
+def _fixed_notation_bit_patterns():
+    """10**5 seeded 64-bit patterns with random sign and mantissa bits and
+    a biased exponent in [1009, 1076]: magnitudes from 2**-14 to 2**54,
+    which span the array path's [1e-4, 1e16] and a little beyond."""
+    rng = np.random.default_rng(20261020)
+    size = 10**5
+    sign = rng.integers(0, 2, size=size, dtype=np.uint64) << np.uint64(63)
+    exponent = rng.integers(1009, 1076, size=size, dtype=np.uint64,
+                            endpoint=True) << np.uint64(52)
+    mantissa = rng.integers(0, 2**52, size=size, dtype=np.uint64)
+    return (sign | exponent | mantissa).view(np.float64)
+
+
 def _powers_of_two():
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     return np.concatenate([powers, -powers])
@@ -112,6 +125,8 @@ def _columns(values, width):
 
 ARRAY_CASES = {
     "random 64-bit patterns": lambda: _columns(_random_bit_patterns(), 4),
+    "random fixed-notation patterns":
+        lambda: _columns(_fixed_notation_bit_patterns(), 4),
     "powers of two": lambda: _columns(_powers_of_two(), 3),
     "ties m*2^k": lambda: _columns(_ties(), 2),
     "powers of ten and neighbours": lambda: _columns(_powers_of_ten(), 3),

@@ -196,14 +196,12 @@ def cmd_design_farfield(args):
 
 def cmd_trace(args):
     try:
-        design = io.load_design(args.design)
-        phase = io.load_phase(args.design, design.grid.shape, design.constants)
+        lens, constants = io.load_lens(args.design, _mode(args))
     except FileNotFoundError as exc:
         raise ConfigError(f"design artifact not found: {exc.filename}") from exc
-    samples = _trace_samples(design.grid)
-    lens = raytrace.TraceableLens.from_design(design, phase)
-    report = _trace_to_files(args, lens, vertical(), design.constants,
-                             samples, Path(args.out or args.design))
+    samples = _trace_samples(lens.grid)
+    report = _trace_to_files(args, lens, vertical(), constants, samples,
+                             Path(args.out or args.design))
     print(f"traced {len(report)} rays; aggregates: {report.aggregates}")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ e' rows of the field's Jacobian, since grad h = e'.
 """
 
 from dataclasses import dataclass, field as dc_field
+from typing import Optional
 
 import numpy as np
 
@@ -51,12 +52,14 @@ class PhaseMap:
     """Phase samples on the metasurface footprint.
 
     ``grad_tan`` holds k (m1, m2) at each sample, k the lens's
-    ``constants.k``; the phase is independent of u3.
+    ``constants.k``; the phase is independent of u3.  A phase that
+    ``io.load_lens`` reads back for a trace holds None in the fields
+    that its gradient mode does not use.
     """
 
-    Q: np.ndarray          # (n1, n2, 2)
-    phi: np.ndarray        # (n1, n2)
-    grad_tan: np.ndarray   # (n1, n2, 2)
+    Q: Optional[np.ndarray]         # (n1, n2, 2)
+    phi: Optional[np.ndarray]       # (n1, n2)
+    grad_tan: Optional[np.ndarray]  # (n1, n2, 2)
     warnings: list = dc_field(default_factory=list)
 
 

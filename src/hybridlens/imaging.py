@@ -11,6 +11,7 @@ integrating in both axis orders.
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -125,12 +126,16 @@ def delta_nice(s, z, kappa1):
 
 @dataclass
 class LensDesign:
-    """Grid-sampled solution of the lens PDE (z = a - rho)."""
+    """Grid-sampled solution of the lens PDE (z = a - rho).
+
+    A design that ``io.load_lens`` reads back for a trace holds None in
+    ``z`` and ``drho``, which tracing does not use.
+    """
 
     grid: Grid2D
     rho: np.ndarray
-    z: np.ndarray
-    drho: np.ndarray
+    z: Optional[np.ndarray]
+    drho: Optional[np.ndarray]
     target_map: TargetMap
     constants: OpticalConstants
     x0: np.ndarray

@@ -1,9 +1,10 @@
-"""Deterministic artifact emission: CSV grids and JSON metadata.
+"""Artifacts: CSV grids and JSON metadata, written and read back.
 
 Floats are written with 17 significant digits ("%.17g", C locale) so a
 written-and-reloaded design is bit-equal to the original.  The CSV bytes
 equal ``np.savetxt(fmt="%.17g", delimiter=",", comments="")``.  The
-writer formats a block of rows at a time:
+writer formats a block of about ``_BLOCK_VALUES`` values, as whole
+rows, at a time:
 
 - digits: each value with 1e-4 <= |x| <= 1e16, which "%.17g" writes in
   fixed notation, takes array code.  Its decimal exponent ``p`` lies in
@@ -18,6 +19,14 @@ writer formats a block of rows at a time:
   by the length of Python's text;
 - rows: the separator follows each value's text, and one boolean mask
   keeps the valid bytes of the block.
+
+``read_csv`` is the one reader.  It checks a file whole in one pass over
+its bytes (the header is the writer's, each row holds the right number of
+commas, and every byte is one the writer writes), then parses only the
+columns it is asked for with ``np.loadtxt(usecols=...)``.  ``load_lens``
+reads a design back for ``trace``: the grid from design.json's box and
+shape, rho.csv's ``rho``, and only the phase.csv columns of the trace's
+gradient mode.
 """
 
 import functools
@@ -27,13 +36,20 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .geometry import Grid2D
 
-#: Rows formatted per pass.  It bounds the writer's temporary arrays
-#: whatever the size of the file: at their peak about 390 bytes per value,
-#: 200 of them the gather index, so 2.4 MB for a block of a 6-column file.
-_BLOCK_ROWS = 1024
+#: Values formatted per pass, as whole rows: max(1, _BLOCK_VALUES //
+#: columns) rows.  It bounds the writer's temporary arrays whatever the
+#: size and width of the file: at their peak about 390 bytes per value,
+#: 200 of them the gather index, so about 2.4 MB per block.
+_BLOCK_VALUES = 6144
 #: Longest "%.17g" text of a float64: "-2.2250738585072014e-308".
 _WIDTH = 24
+#: The bytes of the numbers the writer writes; a row adds "," and "\n".
+_NUMBER_BYTES = b"0123456789.-+einfa"
+#: Bytes the reader checks per pass, so that it holds one chunk and the
+#: file's separators, not the whole file (4.8 MB for a 201^2 rho.csv).
+_READ_BYTES = 1 << 18
 
 # Columns of the 32-byte source row from which each value's text is
 # gathered.  Columns 0-15 hold digits 2-17 of the value, or, for a value
@@ -208,46 +224,76 @@ def write_csv(path, header, columns):
     sep_words = np.frombuffer(b"".join(s + _CONSTANTS for s in seps), dtype=np.uint32)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, columns[0].size, _BLOCK_ROWS):
-            rows = np.stack([c[start:start + _BLOCK_ROWS] for c in columns], axis=1)
+        block = max(1, _BLOCK_VALUES // len(columns))
+        for start in range(0, columns[0].size, block):
+            rows = np.stack([c[start:start + block] for c in columns], axis=1)
             fh.write(_format_block(rows, sep_words))
 
 
-def read_csv(path):
-    """Read a CSV written by ``write_csv``; returns (header, dict of columns).
+def _csv_problem(found, skeleton, n, cut, header, names, rows):
+    """What makes a CSV of header ``found`` and ``n`` rows other than
+    ``read_csv`` was asked for, or None.  ``skeleton`` is its rows with
+    the bytes of numbers deleted; ``cut`` says the last row has no
+    newline."""
+    if header is not None and found != list(header):
+        return f"header {','.join(found)!r}, expected {','.join(header)!r}"
+    missing = [name for name in names if name not in found]
+    if missing:
+        return f"no column {missing[0]!r}"
+    stray = skeleton.translate(None, b",\n")
+    if stray:
+        return f"byte {stray[:1]!r} is not part of a number"
+    if cut:
+        return "its last row is cut short"
+    if rows is not None and n != rows:
+        return f"{n} rows, expected {rows}"
+    commas = len(found) - 1
+    if skeleton != (b"," * commas + b"\n") * n:
+        counts = [len(row) for row in skeleton.split(b"\n")]
+        i = next(i for i, count in enumerate(counts) if count != commas)
+        return f"row {i + 1} has {counts[i]} commas, expected {commas}"
+    return None
 
-    A file whose rows do not parse, or do not match its header, raises
+
+def read_csv(path, header=None, names=None, rows=None):
+    """Read a CSV written by ``write_csv``: (header, dict of columns).
+
+    ``header`` is the writer's header, which the file's first line must
+    spell; ``names`` the columns to parse (by default every column), and
+    ``rows`` the number of rows the file must hold.  Whatever is parsed,
+    the whole file is checked: every byte is one the writer writes, and
+    each row holds (columns - 1) commas and ends in a newline.  A file
+    that fails a check, or a parsed value that does not parse, raises
     ``ConfigError`` naming the file.  A file of the header alone gives
     empty columns.
     """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        rows = fh.tell()
-        if not fh.readline():
-            return header, {name: np.empty(0) for name in header}
-        fh.seek(rows)
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"malformed CSV {path}: {exc}") from exc
-    if data.size and data.shape[1] != len(header):
-        raise ConfigError(f"malformed CSV {path}: {data.shape[1]} columns "
-                          f"under a header of {len(header)}")
-    return header, {name: data[:, i] for i, name in enumerate(header)}
-
-
-def _read_grid(path, names, shape):
-    """The columns ``names`` of a CSV, each reshaped to the grid ``shape``;
-    ``ConfigError`` naming the file if it lacks a column or a row."""
-    _, cols = read_csv(path)
-    missing = [name for name in names if name not in cols]
-    if missing:
-        raise ConfigError(f"malformed CSV {path}: no column {missing[0]!r}")
-    rows = cols[names[0]].size
-    if rows != shape[0] * shape[1]:
-        raise ConfigError(f"malformed CSV {path}: {rows} rows, expected "
-                          f"{shape[0]}x{shape[1]} = {shape[0] * shape[1]}")
-    return {name: cols[name].reshape(shape) for name in names}
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        found = first.rstrip(b"\n").decode("ascii", errors="replace").split(",")
+        names = found if names is None else list(names)
+        pieces, last = [], b"\n"
+        while chunk := fh.read(_READ_BYTES):
+            pieces.append(chunk.translate(None, _NUMBER_BYTES))
+            last = chunk[-1:]
+        skeleton = b"".join(pieces)
+        n = skeleton.count(b"\n")
+        problem = _csv_problem(found, skeleton, n, last != b"\n", header,
+                               names, rows)
+        if problem is None and n:
+            fh.seek(len(first))
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                  usecols=[found.index(name) for name in names])
+            except ValueError as exc:
+                problem = str(exc)
+            else:  # np.loadtxt skips a blank row, which only one column hides
+                if data.shape[0] != n:
+                    problem = "a blank row"
+    if problem is not None:
+        raise ConfigError(f"malformed CSV {path}: {problem}")
+    if not n:
+        return found, {name: np.empty(0) for name in names}
+    return found, {name: data[:, i] for i, name in enumerate(names)}
 
 
 def write_json(path, payload):
@@ -262,14 +308,37 @@ def read_json(path):
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
+#: The columns of rho.csv, in the order they are written.
+RHO_HEADER = ("x1", "x2", "rho", "z", "drho1", "drho2")
+#: The phase.csv columns of each ``PhaseMap`` field, in the order they
+#: are written.
+PHASE_COLUMNS = {"Q": ("Q1", "Q2"), "phi": ("phi",),
+                 "grad_tan": ("dphi_du1", "dphi_du2")}
+PHASE_HEADER = sum(PHASE_COLUMNS.values(), ())
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
 def design_to_files(design, out_dir):
-    """Emit rho.csv (grids) and design.json (metadata) for a lens design."""
+    """Emit rho.csv (grids) and design.json (metadata) for a lens design.
+
+    design.json stores the grid by its box and shape, so a grid that
+    ``Grid2D.from_box`` does not rebuild bit for bit from them, such as
+    a strided subgrid, raises ``ValueError``.
+    """
+    grid = design.grid
+    rebuilt = Grid2D.from_box(grid.box, *grid.shape)
+    if not (_same_bits(rebuilt.x1, grid.x1) and _same_bits(rebuilt.x2, grid.x2)):
+        raise ValueError("the design grid is not Grid2D.from_box of its own "
+                         "box and shape, which design.json stores")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    nodes = design.grid.nodes()
+    nodes = grid.nodes()
     write_csv(
         out / "rho.csv",
-        ["x1", "x2", "rho", "z", "drho1", "drho2"],
+        RHO_HEADER,
         [
             nodes[:, 0],
             nodes[:, 1],
@@ -288,8 +357,8 @@ def design_to_files(design, out_dir):
                           "a": c.a, "c": c.c},
             "map": {"name": design.target_map.name,
                     "params": design.target_map.params or {}},
-            "grid": {"box": [list(design.grid.box[0]), list(design.grid.box[1])],
-                     "shape": list(design.grid.shape)},
+            "grid": {"box": [list(grid.box[0]), list(grid.box[1])],
+                     "shape": list(grid.shape)},
             "x0": [float(design.x0[0]), float(design.x0[1])],
             "z0": design.z0,
             "path_residual": design.path_residual,
@@ -303,7 +372,7 @@ def phase_to_files(phase, out_dir, constants):
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "phase.csv",
-        ["Q1", "Q2", "phi", "dphi_du1", "dphi_du2"],
+        PHASE_HEADER,
         [
             phase.Q[..., 0].ravel(),
             phase.Q[..., 1].ravel(),
@@ -319,14 +388,12 @@ def phase_to_files(phase, out_dir, constants):
     )
 
 
-def load_design(in_dir):
-    """Reload a design emitted by ``design_to_files`` (bit-equal grids).
-
-    The constants and the map are read as a config's are; a design.json
-    that does not describe a design raises ``ConfigError`` naming it.
-    """
+def _load_design(in_dir):
+    """The design of design.json and rho.csv's ``rho``, on the grid of
+    design.json's box and shape; ``z`` and ``drho`` are None.  A
+    design.json that does not describe a design raises ``ConfigError``
+    naming it."""
     from .config import read_constants, read_map
-    from .geometry import Grid2D
     from .imaging import LensDesign
 
     path = Path(in_dir) / "design.json"
@@ -337,6 +404,11 @@ def load_design(in_dir):
                 and all(type(n) is int and n >= 2 for n in shape)):
             raise ConfigError(f"grid.shape must be two node counts >= 2, "
                               f"got {shape!r}")
+        box = np.asarray(meta["grid"]["box"], dtype=float)
+        if box.shape != (2, 2) or not np.isfinite(box).all():
+            raise ConfigError(f"grid.box must be two pairs of finite numbers, "
+                              f"got {meta['grid']['box']!r}")
+        grid = Grid2D.from_box(box, *shape)
         read = dict(
             constants=read_constants(meta["constants"]),
             target_map=read_map(meta["map"]),
@@ -348,19 +420,17 @@ def load_design(in_dir):
         raise ConfigError(f"bad design {path}: no key {exc}") from exc
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad design {path}: {exc}") from exc
-    cols = _read_grid(Path(in_dir) / "rho.csv",
-                      ["x1", "x2", "rho", "z", "drho1", "drho2"], shape)
-    return LensDesign(grid=Grid2D(x1=cols["x1"][:, 0], x2=cols["x2"][0, :]),
-                      rho=cols["rho"], z=cols["z"],
-                      drho=np.stack([cols["drho1"], cols["drho2"]], axis=-1),
-                      **read)
+    _, cols = read_csv(Path(in_dir) / "rho.csv", RHO_HEADER, ["rho"],
+                       shape[0] * shape[1])
+    return LensDesign(grid=grid, rho=cols["rho"].reshape(shape), z=None,
+                      drho=None, **read)
 
 
-def load_phase(in_dir, shape, constants):
-    """Reload a phase emitted by ``phase_to_files`` on a grid of ``shape``;
-    a phase.json that is not an object with a "warnings" list, or whose
-    "k", "a" and "kappa2" are not those of ``constants``, raises
-    ``ConfigError`` naming it."""
+def _load_phase(in_dir, shape, constants, fields):
+    """The phase of phase.json and of the phase.csv columns of ``fields``;
+    the other fields are None.  A phase.json that is not an object with
+    a "warnings" list, or whose "k", "a" and "kappa2" are not those of
+    ``constants``, raises ``ConfigError`` naming it."""
     from .farfield import PhaseMap
 
     path = Path(in_dir) / "phase.json"
@@ -373,12 +443,37 @@ def load_phase(in_dir, shape, constants):
             raise ConfigError(
                 f"bad phase {path}: {name} = {meta.get(name)!r}, but the "
                 f"design's is {getattr(constants, name)!r}")
-    cols = _read_grid(Path(in_dir) / "phase.csv",
-                      ["Q1", "Q2", "phi", "dphi_du1", "dphi_du2"], shape)
-    q = np.stack([cols["Q1"], cols["Q2"]], axis=-1)
-    grad = np.stack([cols["dphi_du1"], cols["dphi_du2"]], axis=-1)
-    return PhaseMap(Q=q, phi=cols["phi"], grad_tan=grad,
+    names = [name for field in fields for name in PHASE_COLUMNS[field]]
+    _, cols = read_csv(Path(in_dir) / "phase.csv", PHASE_HEADER, names,
+                       shape[0] * shape[1])
+    read = {}
+    for field in fields:
+        parts = [cols[name].reshape(shape) for name in PHASE_COLUMNS[field]]
+        read[field] = parts[0] if len(parts) == 1 else np.stack(parts, axis=-1)
+    return PhaseMap(**{field: read.get(field) for field in PHASE_COLUMNS},
                     warnings=meta["warnings"])
+
+
+def load_lens(in_dir, mode):
+    """The ``TraceableLens`` and ``OpticalConstants`` of the artifacts of
+    ``design_to_files`` and ``phase_to_files`` in ``in_dir``, read for a
+    trace in gradient ``mode`` ("fd_phase" or "analytic").
+
+    design.json and phase.json are read and checked whole, and the grid
+    is rebuilt from design.json's box and shape.  Of the CSVs only what
+    the trace uses is parsed: rho.csv's ``rho``, and the phase.csv
+    columns of the ``PhaseMap`` fields that ``mode`` reads, though
+    ``read_csv`` checks each file whole.  The other phase fields are
+    None.  A damaged artifact raises ``ConfigError`` naming it.
+    """
+    from .raytrace import PHASE_FIELDS, TraceableLens
+
+    if mode not in PHASE_FIELDS:
+        raise ValueError(f"unknown gradient mode {mode!r}")
+    design = _load_design(in_dir)
+    phase = _load_phase(in_dir, design.grid.shape, design.constants,
+                        PHASE_FIELDS[mode])
+    return TraceableLens.from_design(design, phase), design.constants
 
 
 def trace_report_to_files(report, out_dir):

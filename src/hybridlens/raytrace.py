@@ -21,6 +21,8 @@ from .splines import GRADIENT, GridSpline
 from .surfaces import Surface, from_design
 
 VERTICAL = np.array([0.0, 0.0, 1.0])
+#: The ``PhaseMap`` fields that a trace in each gradient mode reads.
+PHASE_FIELDS = {"analytic": ("grad_tan",), "fd_phase": ("Q", "phi")}
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,18 @@ class TraceableLens:
         """The tangential phase gradient of ``mode``: a function from (n, 2)
         samples to (n, 2) gradients.  "analytic" takes the stored gradient
         at the nearest design node, "fd_phase" differentiates the
-        interpolated phase samples."""
+        interpolated phase samples.  A mode whose phase fields are None
+        (see ``io.load_lens``) raises ``ValueError`` naming them."""
+        if mode not in PHASE_FIELDS:
+            raise ValueError(f"unknown gradient mode {mode!r}")
+        missing = [name for name in PHASE_FIELDS[mode]
+                   if getattr(self.phase, name) is None]
+        if missing:
+            raise ValueError(f"gradient mode {mode!r} needs the phase's "
+                             f"{' and '.join(missing)}, which were not loaded")
         if mode == "analytic":
             return lambda x: self.phase.grad_tan[self.grid.nearest_index(x)]
-        if mode == "fd_phase":
-            return self._fd_phase_gradient
-        raise ValueError(f"unknown gradient mode {mode!r}")
+        return self._fd_phase_gradient
 
 
 @dataclass

@@ -194,6 +194,75 @@ def test_trace_on_a_malformed_artifact_exit_2_with_one_line(
     assert name in err
 
 
+def _edit_middle_row(edit):
+    """Damage a CSV by calling ``edit`` on the cells of its middle row, given
+    the header's names too."""
+    def damage(path):
+        lines = path.read_bytes().split(b"\n")
+        names = lines[0].decode().split(",")
+        row = len(lines) // 2
+        cells = lines[row].split(b",")
+        edit(names, cells)
+        lines[row] = b",".join(cells)
+        path.write_bytes(b"\n".join(lines))
+    return damage
+
+
+def _letter_in(column):
+    def edit(names, cells):
+        i = names.index(column)
+        cells[i] = cells[i][:2] + b"x" + cells[i][2:]
+    return _edit_middle_row(edit)
+
+
+def _extra_comma(names, cells):
+    cells.append(b"0")
+
+
+def _missing_comma_after(column):
+    def edit(names, cells):
+        i = names.index(column)
+        cells[i:i + 2] = [cells[i] + cells[i + 1]]
+    return _edit_middle_row(edit)
+
+
+def _swap_columns(a, b):
+    def damage(path):
+        header, _, body = path.read_bytes().partition(b"\n")
+        names = header.decode().split(",")
+        i, j = names.index(a), names.index(b)
+        names[i], names[j] = names[j], names[i]
+        path.write_bytes(",".join(names).encode() + b"\n" + body)
+    return damage
+
+
+@pytest.mark.parametrize("name, damage, mode", [
+    ("rho.csv", _letter_in("z"), "fd"),
+    ("phase.csv", _letter_in("dphi_du1"), "fd"),
+    ("phase.csv", _letter_in("Q1"), "analytic"),
+    ("rho.csv", _edit_middle_row(_extra_comma), "fd"),
+    ("phase.csv", _edit_middle_row(_extra_comma), "analytic"),
+    ("rho.csv", _missing_comma_after("drho1"), "fd"),
+    ("phase.csv", _missing_comma_after("Q1"), "analytic"),
+    ("rho.csv", _swap_columns("rho", "z"), "fd"),
+    ("phase.csv", _swap_columns("Q1", "Q2"), "fd"),
+], ids=["letter-in-z", "letter-in-dphi_du1-fd", "letter-in-Q1-analytic",
+        "extra-comma-rho", "extra-comma-phase", "missing-comma-rho",
+        "missing-comma-phase", "swapped-rho-z", "swapped-Q1-Q2"])
+def test_trace_on_damage_in_a_column_it_does_not_read_exit_2_with_one_line(
+        name, damage, mode, dilation_cfg, tmp_path, capsys):
+    """``trace`` parses only the columns of its gradient mode, but damage
+    anywhere in rho.csv or phase.csv still exits 2 naming the file."""
+    assert main(["design-imaging", "--config", dilation_cfg]) == 0
+    out = tmp_path / "out"
+    damage(out / name)
+    capsys.readouterr()
+    assert main(["trace", "--design", str(out), "--gradient-mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert name in err
+
+
 def _edit_json(edit):
     """Damage a JSON artifact by calling ``edit`` on its parsed object."""
     def damage(path):
@@ -220,6 +289,9 @@ def _set_grid_shape(shape):
     ("design.json", _set_grid_shape("ab")),
     ("design.json", _set_grid_shape([41, 41, 1])),
     ("design.json", _set_grid_shape([1, 41 * 41])),
+    ("design.json", _edit_json(lambda m: m["grid"].update(box="ab"))),
+    ("design.json", _edit_json(lambda m: m["grid"].update(
+        box=[[-0.5, float("inf")], [-0.5, 0.5]]))),
     ("phase.json", lambda path: path.write_text("[1, 2]")),
     ("phase.json", _edit_json(lambda m: m.pop("warnings"))),
     ("phase.json", _edit_json(lambda m: m.update(k=2.0))),
@@ -228,6 +300,7 @@ def _set_grid_shape(shape):
 ], ids=["negative-k", "nan-constant", "unknown-map", "no-constants",
         "cut-design", "cut-phase", "n2-below-n1", "c-below-a",
         "float-shape", "string-shape", "three-axis-shape", "one-row-shape",
+        "string-box", "infinite-box",
         "phase-not-an-object", "no-warnings", "other-k", "other-a",
         "other-kappa2"])
 def test_trace_on_a_damaged_json_artifact_exit_2_with_one_line(
@@ -292,8 +365,9 @@ def test_shipped_configs_run(command, config, extra, tmp_path):
     assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]
                 + extra) == 0
     if command == "design-imaging":
-        design = io.load_design(out)
-        assert design.grid.shape == (31, 31)
+        _, cols = io.read_csv(out / "rho.csv", io.RHO_HEADER, ["x1", "x2"],
+                              rows=31 * 31)
+        assert np.unique(cols["x1"]).size == np.unique(cols["x2"]).size == 31
         assert io.read_json(out / "verdict.json")["existence_verdict"]["passed"]
     else:
         alphas = io.read_json(CONFIGS / config)["alphas"]
@@ -454,16 +528,28 @@ def test_too_few_grid_nodes_exit_2_with_one_line(command, nodes, tmp_path,
     assert "at least 2 nodes per axis" in err
 
 
+def _assert_retrace_is_the_design_trace(config, tmp_path, mode):
+    out = tmp_path / "out"
+    assert main(["design-imaging", "--config", config,
+                 "--gradient-mode", mode]) == 0
+    retrace = tmp_path / "retrace"
+    assert main(["trace", "--design", str(out), "--out", str(retrace),
+                 "--gradient-mode", mode]) == 0
+    for name in ["trace_report.csv", "trace_aggregates.json"]:
+        assert (retrace / name).read_bytes() == (out / name).read_bytes(), name
+
+
 def test_retrace_writes_the_design_trace_byte_for_byte(dilation_cfg, tmp_path):
     """`trace --gradient-mode fd` on a design's artifacts rebuilds the same
     lens and writes the same report as `design-imaging` did."""
-    out = tmp_path / "out"
-    assert main(["design-imaging", "--config", dilation_cfg]) == 0
-    retrace = tmp_path / "retrace"
-    assert main(["trace", "--design", str(out), "--out", str(retrace),
-                 "--gradient-mode", "fd"]) == 0
-    for name in ["trace_report.csv", "trace_aggregates.json"]:
-        assert (retrace / name).read_bytes() == (out / name).read_bytes(), name
+    _assert_retrace_is_the_design_trace(dilation_cfg, tmp_path, "fd")
+
+
+def test_analytic_retrace_writes_the_design_trace_byte_for_byte(
+        dilation_cfg, tmp_path):
+    """The same in ``analytic`` mode, which reads phase.csv's dphi columns
+    and none of the fd mode's."""
+    _assert_retrace_is_the_design_trace(dilation_cfg, tmp_path, "analytic")
 
 
 SCIPY_PROBE = """

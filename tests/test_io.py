@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,8 +8,12 @@ from hypothesis import strategies as st
 
 from hybridlens import io
 from hybridlens.errors import ConfigError
-from hybridlens.farfield import build_phase, midfield_vertical
+from hybridlens.farfield import PhaseMap, build_phase, midfield_vertical
 from hybridlens.fields import vertical
+from hybridlens.geometry import Grid2D
+from hybridlens.imaging import LensDesign
+from hybridlens.maps import dilation
+from hybridlens.surfaces import from_design
 
 
 @given(
@@ -148,13 +153,29 @@ def test_ties_are_exact_halves():
         assert len(digits) == 18 and digits[-1] == 5, v
 
 
-@pytest.mark.parametrize("rows", [0, 1, io._BLOCK_ROWS - 1, io._BLOCK_ROWS,
-                                  io._BLOCK_ROWS + 1])
+BLOCK_ROWS_OF_6 = io._BLOCK_VALUES // 6
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS_OF_6 - 1, BLOCK_ROWS_OF_6,
+                                  BLOCK_ROWS_OF_6 + 1])
 def test_write_csv_bytes_equal_savetxt_at_block_edges(tmp_path, rows):
+    """Six columns, as in rho.csv: a block of 1024 rows."""
     rng = np.random.default_rng(rows)
     _assert_bytes_equal_savetxt(
         tmp_path, [rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 6)
-                   for _ in range(3)])
+                   for _ in range(6)])
+
+
+@pytest.mark.parametrize("width", [1, 5, 17, io._BLOCK_VALUES + 1])
+def test_write_csv_blocks_hold_a_fixed_number_of_values(tmp_path, width):
+    """A block is max(1, _BLOCK_VALUES // width) rows, so a wide file is
+    cut into blocks too; the bytes do not depend on where the cuts fall."""
+    block = max(1, io._BLOCK_VALUES // width)
+    rows = 2 * block + 1
+    rng = np.random.default_rng(width)
+    _assert_bytes_equal_savetxt(
+        tmp_path, [rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 6)
+                   for _ in range(width)])
 
 
 POOL = [0.0, -0.0, 1.0, -1.0, 1.0 / 3.0, 0.1, np.nan, np.inf, -np.inf,
@@ -200,31 +221,151 @@ def test_read_csv_rejects_a_malformed_file_naming_it(tmp_path, text):
         io.read_csv(path)
 
 
+@pytest.mark.parametrize("text, asked, why", [
+    ("a,b\n1,2\n", {"header": ["b", "a"]}, "header 'a,b', expected 'b,a'"),
+    ("a,b\n1,2\n", {"rows": 2}, "1 rows, expected 2"),
+    ("a,b\n1,2\n", {"names": ["c"]}, "no column 'c'"),
+    ("a,b\n1,2\n3,4", {}, "its last row is cut short"),
+    ("a\n1\n\n2\n", {}, "a blank row"),
+    ("a,b\n1,x\n", {"names": ["a"]}, "byte b'x' is not part of a number"),
+    ("a,b\n1,2 \n", {"names": ["a"]}, "byte b' ' is not part of a number"),
+    ("a,b\n1,2,3\n4,5\n", {"names": ["a"]}, "row 1 has 2 commas, expected 1"),
+    ("a,b\n1,2\n4\n", {"names": ["a"]}, "row 2 has 0 commas, expected 1"),
+    ("a,b\n1,2,3\n4\n", {"names": ["a"]}, "row 1 has 2 commas, expected 1"),
+], ids=["header", "rows", "column", "cut", "blank", "letter", "space",
+        "extra-comma", "missing-comma", "compensating-commas"])
+def test_read_csv_checks_the_whole_file(tmp_path, text, asked, why):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"bad.csv: {why}")):
+        io.read_csv(path, **asked)
+
+
+def test_read_csv_parses_only_the_columns_asked_for(tmp_path):
+    """A column that is not parsed is still checked byte by byte, but a
+    number of the writer's bytes that does not parse, such as 1.2.3,
+    passes there."""
+    path = tmp_path / "cols.csv"
+    path.write_text("a,b,c\n1.2.3,2,3\n4,5,6\n")
+    header, cols = io.read_csv(path, ["a", "b", "c"], ["c", "b"], rows=2)
+    assert header == ["a", "b", "c"] and list(cols) == ["c", "b"]
+    assert np.array_equal(cols["c"], [3.0, 6.0])
+    assert np.array_equal(cols["b"], [2.0, 5.0])
+    with pytest.raises(ConfigError, match="cols.csv"):
+        io.read_csv(path)
+
+
 def test_json_round_trip(tmp_path):
     payload = {"b": [1.5, 2.5], "a": {"nested": True}}
     io.write_json(tmp_path / "x.json", payload)
     assert io.read_json(tmp_path / "x.json") == payload
 
 
-def test_design_round_trip_bit_equal(dilation_design, tmp_path):
-    io.design_to_files(dilation_design, tmp_path)
-    loaded = io.load_design(tmp_path)
-    assert np.array_equal(loaded.rho, dilation_design.rho)
-    assert np.array_equal(loaded.z, dilation_design.z)
-    assert np.array_equal(loaded.drho, dilation_design.drho)
-    assert np.array_equal(loaded.grid.x1, dilation_design.grid.x1)
-    assert loaded.constants == dilation_design.constants
-    assert loaded.target_map.params == dilation_design.target_map.params
-    assert loaded.z0 == dilation_design.z0
+def _write_lens(design, constants, out):
+    """Write the artifacts of ``design`` and its phase to ``out``; the phase."""
+    mid = midfield_vertical(design.grid, design.rho, design.drho, constants)
+    phase = build_phase(vertical(), mid, constants)
+    io.design_to_files(design, out)
+    io.phase_to_files(phase, out, constants)
+    return phase
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_design_round_trip_bit_equal(dilation_design, constants, tmp_path):
+    d = dilation_design
+    _write_lens(d, constants, tmp_path)
+    lens, loaded = io.load_lens(tmp_path, "fd_phase")
+    assert _same_bits(lens.grid.x1, d.grid.x1)
+    assert _same_bits(lens.grid.x2, d.grid.x2)
+    assert loaded == d.constants
+    assert lens.target_map.params == d.target_map.params
+    # the face a trace sees is the one the design's own rho gives
+    points = np.random.default_rng(3).uniform(-0.7, 0.7, (500, 2))
+    assert _same_bits(lens.surface.height(points),
+                      from_design(d).height(points))
+    assert _same_bits(lens.surface.gradient(points),
+                      from_design(d).gradient(points))
+    _, cols = io.read_csv(tmp_path / "rho.csv", io.RHO_HEADER,
+                          rows=d.rho.size)
+    assert np.array_equal(cols["rho"], d.rho.ravel())
+    assert np.array_equal(cols["z"], d.z.ravel())
+    assert np.array_equal(np.stack([cols["drho1"], cols["drho2"]], axis=-1),
+                          d.drho.reshape(-1, 2))
+    assert io.read_json(tmp_path / "design.json")["z0"] == d.z0
 
 
 def test_phase_round_trip(dilation_design, constants, tmp_path):
-    d = dilation_design
-    mid = midfield_vertical(d.grid, d.rho, d.drho, constants)
-    phase = build_phase(vertical(), mid, constants)
-    io.phase_to_files(phase, tmp_path, constants)
-    loaded = io.load_phase(tmp_path, d.grid.shape, constants)
-    assert np.array_equal(loaded.phi, phase.phi)
-    assert np.array_equal(loaded.Q, phase.Q)
-    assert np.array_equal(loaded.grad_tan, phase.grad_tan)
+    phase = _write_lens(dilation_design, constants, tmp_path)
+    _, cols = io.read_csv(tmp_path / "phase.csv", io.PHASE_HEADER,
+                          rows=phase.phi.size)
+    assert np.array_equal(cols["phi"], phase.phi.ravel())
+    assert np.array_equal(np.stack([cols["Q1"], cols["Q2"]], axis=-1),
+                          phase.Q.reshape(-1, 2))
+    assert np.array_equal(
+        np.stack([cols["dphi_du1"], cols["dphi_du2"]], axis=-1),
+        phase.grad_tan.reshape(-1, 2))
     assert io.read_json(tmp_path / "phase.json")["k"] == constants.k
+
+
+@pytest.mark.parametrize("mode, read, unread", [
+    ("fd_phase", ["Q", "phi"], ["grad_tan"]),
+    ("analytic", ["grad_tan"], ["Q", "phi"]),
+])
+def test_load_lens_reads_the_phase_of_its_mode_only(
+        mode, read, unread, dilation_design, constants, tmp_path):
+    phase = _write_lens(dilation_design, constants, tmp_path)
+    lens, _ = io.load_lens(tmp_path, mode)
+    for name in read:
+        assert _same_bits(getattr(lens.phase, name), getattr(phase, name))
+    for name in unread:
+        assert getattr(lens.phase, name) is None
+    assert lens.phase.warnings == list(phase.warnings)
+    lens.phase_gradient(mode)
+    other = "analytic" if mode == "fd_phase" else "fd_phase"
+    with pytest.raises(ValueError, match=" and ".join(unread)):
+        lens.phase_gradient(other)
+
+
+def test_load_lens_rejects_an_unknown_mode(tmp_path):
+    with pytest.raises(ValueError, match="unknown gradient mode 'fd'"):
+        io.load_lens(tmp_path, "fd")
+
+
+def _plain_design(grid, constants):
+    """A design of constant rho on ``grid``: enough for the artifacts."""
+    rho = np.full(grid.shape, 0.5)
+    return LensDesign(grid=grid, rho=rho, z=constants.a - rho,
+                      drho=np.zeros(grid.shape + (2,)),
+                      target_map=dilation(0.2), constants=constants,
+                      x0=np.zeros(2), z0=0.5)
+
+
+def _plain_phase(grid):
+    return PhaseMap(Q=np.stack(grid.meshgrid(), axis=-1),
+                    phi=np.zeros(grid.shape), grad_tan=np.zeros(grid.shape + (2,)))
+
+
+@pytest.mark.parametrize("n", [5, 31, 61, 101, 201])
+def test_the_loaded_grid_is_the_stored_one_bit_for_bit(n, constants, tmp_path):
+    grid = Grid2D.from_box(((-0.7, 0.7), (-0.7, 0.7)), n)
+    io.design_to_files(_plain_design(grid, constants), tmp_path)
+    io.phase_to_files(_plain_phase(grid), tmp_path, constants)
+    lens, _ = io.load_lens(tmp_path, "analytic")
+    _, cols = io.read_csv(tmp_path / "rho.csv", io.RHO_HEADER, ["x1", "x2"])
+    x1, x2 = lens.grid.meshgrid()
+    assert _same_bits(x1.ravel(), cols["x1"])
+    assert _same_bits(x2.ravel(), cols["x2"])
+
+
+def test_design_to_files_refuses_a_grid_its_box_and_shape_do_not_rebuild(
+        constants, tmp_path):
+    # every 4th node of 31: 5 of its 8 abscissae differ from np.linspace's
+    x = Grid2D.from_box(((-0.7, 0.7), (-0.7, 0.7)), 31).x1[::4]
+    strided = Grid2D(x, x)
+    assert not _same_bits(Grid2D.from_box(strided.box, 8).x1, x)
+    with pytest.raises(ValueError, match="from_box"):
+        io.design_to_files(_plain_design(strided, constants), tmp_path / "out")
+    assert not (tmp_path / "out").exists()

@@ -153,3 +153,20 @@ def test_fit_passes_a_zero_pivot_and_fills_empty_rows():
     band, rotations = splines._givens_rotations(a, np.zeros(3, dtype=int))
     c = splines._back_substitute(band, splines._rotate(rotations, z))
     assert np.allclose(c, np.linalg.solve(a, z), rtol=1e-14, atol=1e-15)
+
+
+def test_a_later_evaluation_leaves_earlier_results_alone(rng):
+    """The spline reuses one scratch buffer: what a call returns must not
+    share it, whether the next call is larger or smaller."""
+    grid = grids(5)[2]
+    spline = GridSpline(grid, field(grid.x1, grid.x2), 5)
+    points = probe_points(grid, rng)
+    first = spline(points[:300], *GRADIENT)
+    kept = [v.copy() for v in first]
+    spline(points, *GRADIENT, *HESSIAN)
+    spline(points[:7], *VALUE)
+    for v, want in zip(first, kept):
+        assert np.array_equal(v, want)
+    again = spline(points[:300], *GRADIENT)
+    for v, want in zip(again, kept):
+        assert np.array_equal(v, want)

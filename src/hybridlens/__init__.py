@@ -24,7 +24,7 @@ from .errors import (
     SingularHessian,
     TotalInternalReflection,
 )
-from .geometry import FDStencil, Grid2D
+from .geometry import Grid2D
 from .snell import (
     OpticalConstants,
     RefractionResult,
@@ -49,7 +49,7 @@ from .maps import (
     dilation,
     eigen_structure,
     eikonal_distance,
-    horizontal,
+    horizontal_poly,
     identity,
     rotation,
 )
@@ -80,7 +80,7 @@ from .farfield import (
     sufficient_det_general,
     sufficient_det_vertical,
 )
-from .raytrace import TraceableLens, TraceReport, spot_diagram, trace_through
+from .raytrace import TraceableLens, TraceReport, trace_through
 from .config import DesignConfig
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -117,15 +117,14 @@ class DesignConfig:
             gdict = raw["grid"]
             _reject_unknown(gdict, {"box", "n"}, "grid")
             try:
-                box = gdict["box"]
                 n = gdict["n"]
-                n1, n2 = (n, n) if isinstance(n, int) else (int(n[0]), int(n[1]))
-                cfg.grid = Grid2D.from_box(
-                    [(_number(axis[0], "grid.box"), _number(axis[1], "grid.box"))
-                     for axis in box[:2]],
-                    n1, n2,
-                )
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                if not isinstance(n, list):
+                    n = [n, n]
+                if len(n) != 2:
+                    raise ValueError(f"grid.n must be an int or two of them, "
+                                     f"got {gdict['n']!r}")
+                cfg.grid = Grid2D.from_box(gdict["box"], *n)
+            except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad grid spec: {exc}") from exc
         if raw.get("x0") is not None:
             x0 = raw["x0"]

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .fields import recover_potential
 from .geometry import (
-    FDStencil,
     Grid2D,
     batch_eval,
     fd_hessian,
@@ -198,14 +197,13 @@ def sufficient_det_general(field, surface, constants, x0):
     """
     k1 = constants.kappa1
     x0 = np.asarray(x0, dtype=float)
-    stencil = FDStencil(1e-4, 1e-4, order=4)
 
     def trace(x):
         return ray_to_metasurface(field, surface, constants, x)
 
     def de(x):  # nested in D(m De), so a jac-less De takes this stencil too
         return (field.jacobian(x) if field.jac is not None
-                else fd_jacobian(field.direction, x, stencil))
+                else fd_jacobian(field.direction, x, 1e-4, order=4))
 
     def rho_m_mde(x):
         rho, m, _, _ = trace(x)
@@ -216,9 +214,9 @@ def sufficient_det_general(field, surface, constants, x0):
     e0 = field.direction(x0)
     de0 = de(x0)
     mde0 = m0 @ de0
-    jac = fd_jacobian(rho_m_mde, x0, stencil)
+    jac = fd_jacobian(rho_m_mde, x0, 1e-4, order=4)
     drho, dm, d_mde = jac[0], jac[1:4], jac[4:]
-    d2rho = fd_hessian(lambda x: trace(x)[0], x0, FDStencil(1e-4, 1e-4))
+    d2rho = fd_hessian(lambda x: trace(x)[0], x0, 1e-4)
 
     matrix = (
         de0[:2]

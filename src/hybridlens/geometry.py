@@ -6,6 +6,7 @@ is u^t v so that ``w @ outer(u, v) = (w . u) v`` for row vectors acting
 on the left.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,36 +60,14 @@ def mat2(a, b, c, d):
     )
 
 
-@dataclass(frozen=True)
-class FDStencil:
-    """Central-difference step sizes for 2-D differentiation.
-
-    ``h1`` and ``h2`` are floats, or arrays (...) of per-point steps for
-    a batch of points (..., 2), as ``for_point`` makes them.
-    """
-
-    h1: float
-    h2: float
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order not in (2, 4):
-            raise ValueError("order must be 2 or 4")
-        if np.any(np.asarray(self.h1) <= 0) or np.any(np.asarray(self.h2) <= 0):
-            raise ValueError("step sizes must be positive")
-
-    @staticmethod
-    def for_point(x):
-        """Default second-order step max(1e-5, 1e-5 |x_i|) at each point
-        of ``x`` (..., 2), balancing a first difference's truncation and
-        roundoff."""
-        h = np.maximum(1e-5, 1e-5 * np.abs(np.asarray(x, dtype=float)))
-        return FDStencil(h1=h[..., 0], h2=h[..., 1])
-
-    @property
-    def steps(self):
-        """Steps (2,), or (..., 2) for per-point steps."""
-        return np.stack(np.broadcast_arrays(self.h1, self.h2), axis=-1)
+def _steps(x, step, default):
+    """Steps (..., 2) for points ``x`` (..., 2): ``step`` on both axes,
+    or by default max(default, default |x_i|) at each point."""
+    if step is None:
+        return np.maximum(default, default * np.abs(x))
+    if not step > 0:
+        raise ValueError(f"the step must be positive, got {step!r}")
+    return np.full(x.shape, float(step))
 
 
 def _on_stencil(f, x, steps, offsets, tail):
@@ -99,22 +78,27 @@ def _on_stencil(f, x, steps, offsets, tail):
     return batch_eval(f, x + o * steps, tail, "f")
 
 
-def fd_jacobian(f, x, stencil=None):
+def fd_jacobian(f, x, step=None, order=2):
     """Derivative (..., *tail, 2) of a map from points (..., 2) to values
-    (..., *tail) by central differences: the gradient (..., 2) of a
-    scalar map, the Jacobian (..., m, 2) of a map into R^m.
+    (..., *tail) by central differences of order 2 or 4: the gradient
+    (..., 2) of a scalar map, the Jacobian (..., m, 2) of a map into R^m.
 
-    f is called once, on every stencil point of every point of ``x``.
+    ``step`` applies to both axes; by default each point takes
+    max(1e-5, 1e-5 |x_i|), which balances a first difference's
+    truncation and roundoff.  f is called once, on every stencil point
+    of every point of ``x``.
     """
+    if order not in (2, 4):
+        raise ValueError(f"order must be 2 or 4, got {order!r}")
     x = np.asarray(x, dtype=float)
-    stencil = stencil or FDStencil.for_point(x)
-    reach = (1,) if stencil.order == 2 else (1, 2)
+    steps = _steps(x, step, 1e-5)
+    reach = (1,) if order == 2 else (1, 2)
     offsets = [sign * r * np.eye(2)[axis]
                for r in reach for sign in (1, -1) for axis in (0, 1)]
-    v = _on_stencil(f, x, stencil.steps, offsets, None)
+    v = _on_stencil(f, x, steps, offsets, None)
     v = v.reshape((len(reach), 2, 2) + v.shape[1:])  # reach, sign, axis
-    h = np.moveaxis(stencil.steps, -1, 0)
-    if stencil.order == 2:
+    h = np.moveaxis(steps, -1, 0)
+    if order == 2:
         diff, denom = v[0, 0] - v[0, 1], 2 * h
     else:
         diff = 8 * (v[0, 0] - v[0, 1]) - (v[1, 0] - v[1, 1])
@@ -125,27 +109,21 @@ def fd_jacobian(f, x, stencil=None):
     return np.stack(tuple(diff / denom), axis=-1)
 
 
-# The gradient of a scalar map is its Jacobian under the batch contract.
-fd_gradient = fd_jacobian
-
 _HESSIAN_OFFSETS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
                     (1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
-def fd_hessian(f, x, stencil=None):
+def fd_hessian(f, x, step=None):
     """Symmetric Hessian (..., 2, 2) of a scalar map on the 9-point
     second-order stencil, calling f once, on every stencil point of every
-    point of ``x``; by default at steps max(1e-4, 1e-4 |x_i|), as its
-    roundoff is O(1/h^2).  A stencil of another order raises ValueError."""
+    point of ``x``.  ``step`` applies to both axes; by default each point
+    takes max(1e-4, 1e-4 |x_i|), as a second difference's roundoff is
+    O(1/h^2)."""
     x = np.asarray(x, dtype=float)
-    h = np.maximum(1e-4, 1e-4 * np.abs(x))
-    stencil = stencil or FDStencil(h1=h[..., 0], h2=h[..., 1])
-    if stencil.order != 2:
-        raise ValueError(f"fd_hessian takes a second-order stencil, "
-                         f"got order {stencil.order}")
-    h1, h2 = stencil.steps[..., 0], stencil.steps[..., 1]
+    steps = _steps(x, step, 1e-4)
+    h1, h2 = steps[..., 0], steps[..., 1]
     f00, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = _on_stencil(
-        f, x, stencil.steps, _HESSIAN_OFFSETS, ())
+        f, x, steps, _HESSIAN_OFFSETS, ())
     d11 = (fp0 - 2 * f00 + fm0) / h1**2
     d22 = (f0p - 2 * f00 + f0m) / h2**2
     d12 = (fpp - fpm - fmp + fmm) / (4 * h1 * h2)
@@ -167,11 +145,26 @@ class Grid2D:
 
     @staticmethod
     def from_box(box, n1, n2=None):
-        (a1, b1), (a2, b2) = box
+        """The grid of n1 x n2 nodes (``n2`` defaults to ``n1``) spanning
+        ``box`` = ((lo1, hi1), (lo2, hi2)).  Raises ``ValueError`` unless
+        each count is an int >= 2 (a bool is not) and the box is two
+        pairs of finite numbers with lo < hi."""
         n2 = n1 if n2 is None else n2
-        if min(n1, n2) < 2:
-            raise ValueError(
-                f"a grid needs at least 2 nodes per axis, got {n1}x{n2}")
+        if not all(type(n) is int and n >= 2 for n in (n1, n2)):
+            raise ValueError(f"grid.n must be at least 2 nodes per axis, "
+                             f"each an int, got {n1!r}x{n2!r}")
+        try:
+            (a1, b1), (a2, b2) = box
+            ends = [float(v) for v in (a1, b1, a2, b2)
+                    if isinstance(v, numbers.Real) and not isinstance(v, bool)]
+        except (TypeError, ValueError, OverflowError):
+            ends = []
+        if not (len(ends) == 4 and np.isfinite(ends).all()
+                and ends[0] < ends[1] and ends[2] < ends[3]):
+            raise ValueError(f"grid.box must be a pair (lo, hi) of finite "
+                             f"numbers with lo < hi for each of two axes, "
+                             f"got {box!r}")
+        a1, b1, a2, b2 = ends
         return Grid2D(np.linspace(a1, b1, n1), np.linspace(a2, b2, n2))
 
     @property

@@ -142,10 +142,6 @@ class LensDesign:
     z0: float
     path_residual: float = 0.0
 
-    def node_state(self, i, j):
-        """(x, z) at a grid node."""
-        return self.grid.node(i, j), float(self.z[i, j])
-
 
 def default_z0(target_map, constants, x0):
     """Midpoint of the admissible z interval at x0."""
@@ -228,7 +224,8 @@ def _state_at(design, x0, z0):
     if x0 is None:
         return design.x0, design.z0
     if z0 is None:
-        return design.node_state(*design.grid.nearest_index(x0))
+        i, j = design.grid.nearest_index(x0)
+        return design.grid.node(i, j), float(design.z[i, j])
     return x0, z0
 
 

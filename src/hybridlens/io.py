@@ -399,16 +399,8 @@ def _load_design(in_dir):
     path = Path(in_dir) / "design.json"
     meta = read_json(path)
     try:
-        shape = meta["grid"]["shape"]
-        if not (isinstance(shape, list) and len(shape) == 2
-                and all(type(n) is int and n >= 2 for n in shape)):
-            raise ConfigError(f"grid.shape must be two node counts >= 2, "
-                              f"got {shape!r}")
-        box = np.asarray(meta["grid"]["box"], dtype=float)
-        if box.shape != (2, 2) or not np.isfinite(box).all():
-            raise ConfigError(f"grid.box must be two pairs of finite numbers, "
-                              f"got {meta['grid']['box']!r}")
-        grid = Grid2D.from_box(box, *shape)
+        n1, n2 = meta["grid"]["shape"]
+        grid = Grid2D.from_box(meta["grid"]["box"], n1, n2)
         read = dict(
             constants=read_constants(meta["constants"]),
             target_map=read_map(meta["map"]),
@@ -421,8 +413,8 @@ def _load_design(in_dir):
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad design {path}: {exc}") from exc
     _, cols = read_csv(Path(in_dir) / "rho.csv", RHO_HEADER, ["rho"],
-                       shape[0] * shape[1])
-    return LensDesign(grid=grid, rho=cols["rho"].reshape(shape), z=None,
+                       n1 * n2)
+    return LensDesign(grid=grid, rho=cols["rho"].reshape(grid.shape), z=None,
                       drho=None, **read)
 
 

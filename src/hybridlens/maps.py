@@ -7,7 +7,7 @@ are then eigenvectors of DS; ``eigen_structure`` extracts the pair of
 eigenvalues the non-singularity test needs.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,7 +53,8 @@ class TargetMap:
     params: dict = None
 
     def target(self, x):
-        return np.asarray(self.T(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        return batch_eval(self.T, x, (2,), f"map {self.name!r} T")
 
     def S(self, x):
         x = np.asarray(x, dtype=float)
@@ -97,24 +98,6 @@ def dilation(alpha):
     )
 
 
-def horizontal(h, hprime):
-    """T x = (h(x1), x2) for an injective one-variable function h with
-    derivative ``hprime``."""
-
-    def T(x):
-        x = np.asarray(x, dtype=float)
-        out = np.array(x, copy=True)
-        out[..., 0] = h(x[..., 0])
-        return out
-
-    def jac(x):
-        j = np.zeros(x.shape[:-1] + (2, 2))
-        j[..., 0, 0] = hprime(x[..., 0]) - 1.0
-        return j
-
-    return TargetMap(name="horizontal", T=T, jac_S=jac, params={})
-
-
 def eikonal_distance(gamma):
     """S = grad |x - gamma|, a unit-length gradient field (|S| = 1)."""
     g = np.asarray(gamma, dtype=float)
@@ -153,17 +136,24 @@ def rotation(alpha):
 
 
 def horizontal_poly(coeffs):
-    """Horizontal map with h given by polynomial coefficients, low order first."""
+    """T x = (h(x1), x2) for the polynomial h of coefficients ``coeffs``,
+    low order first, which must be injective on the design box."""
     c = np.asarray(coeffs, dtype=float)
     dc = c[1:] * np.arange(1, c.size)
 
-    def h(t):
-        return np.polynomial.polynomial.polyval(t, c)
+    def T(x):
+        x = np.asarray(x, dtype=float)
+        out = np.array(x, copy=True)
+        out[..., 0] = np.polynomial.polynomial.polyval(x[..., 0], c)
+        return out
 
-    def hp(t):
-        return np.polynomial.polynomial.polyval(t, dc)
+    def jac(x):
+        j = np.zeros(x.shape[:-1] + (2, 2))
+        j[..., 0, 0] = np.polynomial.polynomial.polyval(x[..., 0], dc) - 1.0
+        return j
 
-    return replace(horizontal(h, hp), params={"coeffs": list(map(float, c))})
+    return TargetMap(name="horizontal", T=T, jac_S=jac,
+                     params={"coeffs": list(map(float, c))})
 
 
 BUILTIN_MAPS = {

@@ -172,19 +172,3 @@ def trace_through(lens, incident_field, constants, samples,
         aggregates={"outside_patch": int(np.count_nonzero(outside))},
     )
 
-
-def spot_diagram(report):
-    """Landing-point scatter with error quantiles, CSV-ready."""
-    if len(report) == 0:
-        raise ValueError("empty report")
-    ref = report.targets if report.targets is not None else report.landings.mean(
-        axis=0
-    )
-    err = np.linalg.norm(report.landings - ref, axis=1)
-    qs = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
-    return {
-        "points": report.landings,
-        "errors": err,
-        "quantiles": {f"q{int(100 * q)}": float(np.quantile(err, q)) for q in qs},
-        "spot_radius": float(np.max(err)),
-    }

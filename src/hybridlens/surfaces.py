@@ -5,7 +5,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import batch_eval, fd_gradient, fd_hessian, mat2
+from .geometry import batch_eval, fd_hessian, fd_jacobian, mat2
 from .splines import GRADIENT, HESSIAN, GridSpline
 
 
@@ -30,15 +30,15 @@ class Surface:
     def height(self, x):
         """r(x): a float for a point (2,), an (n,) array for (n, 2)."""
         x = np.asarray(x, dtype=float)
-        r = self.value(x)
-        return float(r) if x.ndim == 1 else np.asarray(r, dtype=float)
+        r = batch_eval(self.value, x, (), f"surface {self.name!r} value")
+        return float(r) if x.ndim == 1 else r
 
     def gradient(self, x):
         """Dr(x): (2,) for a point, (n, 2) for a batch of points."""
         x = np.asarray(x, dtype=float)
         if self.grad is not None:
             return batch_eval(self.grad, x, (2,), f"surface {self.name!r} grad")
-        return fd_gradient(self.value, x)
+        return fd_jacobian(self.value, x)
 
     def hessian(self, x):
         """D^2 r(x): (2, 2) for a point, (n, 2, 2) for a batch of points."""

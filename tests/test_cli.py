@@ -292,6 +292,8 @@ def _set_grid_shape(shape):
     ("design.json", _edit_json(lambda m: m["grid"].update(box="ab"))),
     ("design.json", _edit_json(lambda m: m["grid"].update(
         box=[[-0.5, float("inf")], [-0.5, 0.5]]))),
+    ("design.json", _edit_json(lambda m: m["grid"].update(
+        box=[[0.7, -0.7], [-0.7, 0.7]]))),
     ("phase.json", lambda path: path.write_text("[1, 2]")),
     ("phase.json", _edit_json(lambda m: m.pop("warnings"))),
     ("phase.json", _edit_json(lambda m: m.update(k=2.0))),
@@ -300,7 +302,7 @@ def _set_grid_shape(shape):
 ], ids=["negative-k", "nan-constant", "unknown-map", "no-constants",
         "cut-design", "cut-phase", "n2-below-n1", "c-below-a",
         "float-shape", "string-shape", "three-axis-shape", "one-row-shape",
-        "string-box", "infinite-box",
+        "string-box", "infinite-box", "reversed-box",
         "phase-not-an-object", "no-warnings", "other-k", "other-a",
         "other-kappa2"])
 def test_trace_on_a_damaged_json_artifact_exit_2_with_one_line(

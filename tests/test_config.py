@@ -151,6 +151,24 @@ NOT_A_FINITE_NUMBER = {
                           "t_range"),
     "step-inf": ("plot2d", PROFILES, {"step": INF}, "step"),
 }
+# a grid spec that is not an increasing box and int node counts >= 2,
+# refused before any design work by both commands that take a grid
+BAD_GRIDS = {
+    "n-string": {"n": "77"},
+    "n-true": {"n": True},
+    "n-fraction": {"n": [51.7, 51]},
+    "n-three-axes": {"n": [11, 11, 11]},
+    "box-three-pairs": {"box": [[-0.5, 0.5]] * 3},
+    "box-reversed": {"box": [[0.5, -0.5], [-0.5, 0.5]]},
+    "box-empty-axis": {"box": [[-0.5, 0.5], [0.5, 0.5]]},
+}
+NOT_A_FINITE_NUMBER.update({
+    f"{command}-grid-{name}": (command, BASE,
+                               {"grid": {**BASE["grid"], **change}},
+                               f"grid.{next(iter(change))}")
+    for name, change in BAD_GRIDS.items()
+    for command in ("check", "design-imaging")
+})
 
 
 @pytest.mark.parametrize("case", NOT_A_FINITE_NUMBER)

@@ -25,7 +25,7 @@ from hybridlens.farfield import (
     sufficient_det_vertical,
 )
 from hybridlens.fields import IncidentField, collimated, point_source, vertical
-from hybridlens.geometry import FDStencil, Grid2D, fd_jacobian
+from hybridlens.geometry import Grid2D, fd_jacobian
 from hybridlens.imaging import delta_from_drho
 from hybridlens.raytrace import TraceableLens, trace_through
 from hybridlens.reports import ConditionReport
@@ -282,7 +282,7 @@ class TestSufficientDets:
             x0 = np.array(x0)
             det = sufficient_det_general(field, FACE, constants,
                                          x0).margins["det"]
-            j = fd_jacobian(q_and_m, x0, FDStencil(1e-4, 1e-4, order=4))
+            j = fd_jacobian(q_and_m, x0, 1e-4, order=4)
             expected = (constants.kappa1**2 * np.linalg.det(j[:2])
                         * np.linalg.det(j[2:]))
             assert det == pytest.approx(expected, rel=1e-5)
@@ -322,9 +322,8 @@ class TestSufficientDets:
         """D(m De) nests De in a difference, so a field without jac gets
         De at the determinant's order-4 step 1e-4, not the default."""
         bare = e_only(point_source((0.3, -0.2, -4.0)))
-        stencil = FDStencil(1e-4, 1e-4, order=4)
         given = dataclasses.replace(
-            bare, jac=lambda x: fd_jacobian(bare.direction, x, stencil))
+            bare, jac=lambda x: fd_jacobian(bare.direction, x, 1e-4, order=4))
         for x0 in ([0.0, 0.0], [0.1, -0.2], [0.3, 0.1]):
             x0 = np.array(x0)
             assert (sufficient_det_general(bare, FACE, constants, x0).margins

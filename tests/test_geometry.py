@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,8 @@ from hybridlens.fields import (
     recover_potential,
 )
 from hybridlens.geometry import (
-    FDStencil,
     Grid2D,
     cross2,
-    fd_gradient,
     fd_hessian,
     fd_jacobian,
     outer,
@@ -44,10 +40,10 @@ def test_outer_row_vector_convention():
     assert np.allclose(w @ m, np.dot(w, u) * v)
 
 
-def test_fd_gradient_quadratic_exact():
+def test_fd_jacobian_of_a_quadratic_is_exact():
     f = lambda x: 2.0 * x[..., 0] ** 2 + 3.0 * x[..., 0] * x[..., 1] - x[..., 1] ** 2
     x = np.array([0.4, -0.2])
-    g = fd_gradient(f, x, FDStencil(1e-5, 1e-5))
+    g = fd_jacobian(f, x, 1e-5)
     assert np.allclose(g, [4 * x[0] + 3 * x[1], 3 * x[0] - 2 * x[1]], atol=1e-9)
 
 
@@ -55,15 +51,15 @@ def test_fd_order4_beats_order2():
     f = lambda x: np.sin(3.0 * x[..., 0]) * np.exp(x[..., 1])
     x = np.array([0.3, 0.1])
     exact = 3.0 * np.cos(3.0 * x[0]) * np.exp(x[1])
-    e2 = abs(fd_gradient(f, x, FDStencil(1e-3, 1e-3, order=2))[0] - exact)
-    e4 = abs(fd_gradient(f, x, FDStencil(1e-3, 1e-3, order=4))[0] - exact)
+    e2 = abs(fd_jacobian(f, x, 1e-3, order=2)[0] - exact)
+    e4 = abs(fd_jacobian(f, x, 1e-3, order=4)[0] - exact)
     assert e4 < 1e-2 * e2
 
 
 def test_fd_jacobian_and_curl():
     f = lambda x: np.stack([x[..., 1] ** 2, np.sin(x[..., 0])], axis=-1)
     x = np.array([0.5, 0.25])
-    j = fd_jacobian(f, x, FDStencil(1e-5, 1e-5))
+    j = fd_jacobian(f, x, 1e-5)
     assert np.allclose(j, [[0.0, 2 * x[1]], [np.cos(x[0]), 0.0]], atol=1e-9)
     c = j[1, 0] - j[0, 1]  # the scalar curl of a planar field
     assert abs(c - (np.cos(x[0]) - 2 * x[1])) < 1e-9
@@ -78,21 +74,16 @@ def vector_map(x):
                     axis=-1)
 
 
-@pytest.mark.parametrize("stencil", [None, FDStencil(1e-4, 2e-4),
-                                     FDStencil(1e-3, 1e-3, order=4)],
+@pytest.mark.parametrize("step, order", [(None, 2), (1e-4, 2), (1e-3, 4)],
                          ids=["per-point", "order2", "order4"])
-def test_fd_batch_matches_single_points(stencil, rng):
+def test_fd_batch_matches_single_points(step, order, rng):
     x = rng.uniform(-2.0, 2.0, (40, 2))  # per-point steps differ here
     cases = [
-        (lambda p: fd_jacobian(vector_map, p, stencil)[..., 1], (40, 3)),
-        (lambda p: fd_gradient(scalar_map, p, stencil), (40, 2)),
-        (lambda p: fd_jacobian(vector_map, p, stencil), (40, 3, 2)),
+        (lambda p: fd_jacobian(vector_map, p, step, order)[..., 1], (40, 3)),
+        (lambda p: fd_jacobian(scalar_map, p, step, order), (40, 2)),
+        (lambda p: fd_jacobian(vector_map, p, step, order), (40, 3, 2)),
+        (lambda p: fd_hessian(scalar_map, p, step), (40, 2, 2)),
     ]
-    if stencil is not None and stencil.order == 4:
-        with pytest.raises(ValueError, match="second-order"):
-            fd_hessian(scalar_map, x, stencil)
-    else:
-        cases.append((lambda p: fd_hessian(scalar_map, p, stencil), (40, 2, 2)))
     for fd, shape in cases:
         batch = fd(x)
         assert batch.shape == shape
@@ -111,9 +102,9 @@ def test_fd_calls_f_once_on_the_whole_stencil():
 
     for x in (np.zeros(2), np.zeros((25, 2))):
         shapes.clear()
-        fd_jacobian(f, x, FDStencil(1e-3, 1e-3))
-        fd_jacobian(f, x, FDStencil(1e-3, 1e-3, order=4))
-        fd_hessian(f, x, FDStencil(1e-3, 1e-3))
+        fd_jacobian(f, x, 1e-3)
+        fd_jacobian(f, x, 1e-3, order=4)
+        fd_hessian(f, x, 1e-3)
         assert shapes == [(4,) + x.shape, (8,) + x.shape, (9,) + x.shape]
 
 
@@ -124,13 +115,14 @@ def pointwise(f, x, h, offset):
     return np.reshape(vals, pts.shape[:-1] + np.shape(vals[0]))
 
 
-def reference_jacobian(f, x, stencil):
-    """The central differences of ``fd_jacobian``, term for term."""
+def reference_jacobian(f, x, steps, order):
+    """The central differences of ``fd_jacobian`` at steps (..., 2),
+    term for term."""
     cols = []
     for axis in (0, 1):
-        e, h = np.eye(2)[axis], stencil.steps[..., axis]
-        at = lambda k: pointwise(f, x, stencil.steps, k * e)
-        if stencil.order == 2:
+        e, h = np.eye(2)[axis], steps[..., axis]
+        at = lambda k: pointwise(f, x, steps, k * e)
+        if order == 2:
             diff, denom = at(1) - at(-1), 2 * h
         else:
             diff, denom = 8 * (at(1) - at(-1)) - (at(2) - at(-2)), 12 * h
@@ -139,14 +131,21 @@ def reference_jacobian(f, x, stencil):
     return np.stack(cols, axis=-1)
 
 
-def reference_hessian(f, x, stencil):
-    """The 9-point differences of ``fd_hessian``, term for term."""
-    h1, h2 = stencil.steps[..., 0], stencil.steps[..., 1]
-    at = lambda o1, o2: pointwise(f, x, stencil.steps, (o1, o2))
+def reference_hessian(f, x, steps):
+    """The 9-point differences of ``fd_hessian`` at steps (..., 2), term
+    for term."""
+    h1, h2 = steps[..., 0], steps[..., 1]
+    at = lambda o1, o2: pointwise(f, x, steps, (o1, o2))
     d11 = (at(1, 0) - 2 * at(0, 0) + at(-1, 0)) / h1**2
     d22 = (at(0, 1) - 2 * at(0, 0) + at(0, -1)) / h2**2
     d12 = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h1 * h2)
     return np.stack([np.stack([d11, d12], -1), np.stack([d12, d22], -1)], -2)
+
+
+def default_steps(x, rel):
+    """The per-point steps max(rel, rel |x_i|) of ``fd_jacobian``
+    (rel = 1e-5) and ``fd_hessian`` (rel = 1e-4)."""
+    return np.maximum(rel, rel * np.abs(x))
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -155,26 +154,34 @@ def reference_hessian(f, x, stencil):
 def test_fd_one_call_equals_pointwise_differences(order, steps, n, rng):
     x = rng.uniform(-2.0, 2.0, (n or 1, 2))  # per-point steps differ here
     x = x if n else x[0]
-    stencil = (dataclasses.replace(FDStencil.for_point(x), order=order)
-               if steps == "per-point" else FDStencil(1e-3, 2e-3, order=order))
-    for f in (scalar_map, vector_map):
-        assert np.array_equal(fd_jacobian(f, x, stencil),
-                              reference_jacobian(f, x, stencil))
-    if order == 4:
-        with pytest.raises(ValueError, match="second-order"):
-            fd_hessian(scalar_map, x, stencil)
+    if steps == "per-point":
+        step, first, second = None, default_steps(x, 1e-5), default_steps(x, 1e-4)
     else:
-        assert np.array_equal(fd_hessian(scalar_map, x, stencil),
-                              reference_hessian(scalar_map, x, stencil))
+        step, first, second = 1e-3, np.full(x.shape, 1e-3), np.full(x.shape, 1e-3)
+    for f in (scalar_map, vector_map):
+        assert np.array_equal(fd_jacobian(f, x, step, order),
+                              reference_jacobian(f, x, first, order))
+    assert np.array_equal(fd_hessian(scalar_map, x, step),
+                          reference_hessian(scalar_map, x, second))
 
 
 def test_fd_rejects_a_single_point_callback():
     f = lambda x: x[0] ** 2 - x[1]  # indexes one point, not a batch
     # even one point is a batch: its stencil points go to f in one call
     for x in (np.array([1.0, 2.0]), np.zeros((5, 2))):
-        for fd in (fd_gradient, fd_jacobian, fd_hessian):
+        for fd in (fd_jacobian, fd_hessian):
             with pytest.raises(ValueError):
-                fd(f, x, FDStencil(1e-3, 1e-3))
+                fd(f, x, 1e-3)
+
+
+@pytest.mark.parametrize("step, order", [(0.0, 2), (-1e-3, 2), (float("nan"), 2),
+                                         (1e-3, 3), (None, 1)])
+def test_fd_rejects_a_bad_step_or_order(step, order):
+    with pytest.raises(ValueError):
+        fd_jacobian(scalar_map, np.zeros(2), step, order)
+    if order == 2:
+        with pytest.raises(ValueError):
+            fd_hessian(scalar_map, np.zeros(2), step)
 
 
 def test_callbacks_without_derivatives_take_the_default_step(rng):
@@ -184,24 +191,22 @@ def test_callbacks_without_derivatives_take_the_default_step(rng):
     max(1e-5, 1e-5 |x_i|) for a first difference, max(1e-4, 1e-4 |x_i|)
     for the Hessian's second one."""
     x = rng.uniform(-2.0, 2.0, (40, 2))
-    default = FDStencil.for_point(x)
     bare_map = TargetMap(name="bare", T=lambda p: p + 0.1 * np.sin(p[..., ::-1]))
     bare_field = IncidentField(name="bare", e=point_source([0.3, -0.2, -4.0]).e)
     bare_surface = Surface(name="bare",
                            value=lambda p: np.cos(p[..., 0]) * np.exp(p[..., 1]))
-    ds = fd_jacobian(bare_map.S, x, default)
-    de = fd_jacobian(bare_field.direction, x, default)
+    ds = reference_jacobian(bare_map.S, x, default_steps(x, 1e-5), 2)
+    de = reference_jacobian(bare_field.direction, x, default_steps(x, 1e-5), 2)
     assert np.array_equal(bare_map.DS(x), ds)
     assert np.array_equal(bare_field.jacobian(x), de)
-    h = np.maximum(1e-4, 1e-4 * np.abs(x))
-    assert np.array_equal(bare_surface.hessian(x),
-                          fd_hessian(bare_surface.value, x,
-                                     FDStencil(h[:, 0], h[:, 1])))
+    assert np.array_equal(
+        bare_surface.hessian(x),
+        reference_hessian(bare_surface.value, x, default_steps(x, 1e-4)))
 
     grid = Grid2D.from_box(((-0.7, 0.7), (-0.4, 0.9)), 7, 5)
     nodes = grid.nodes()
-    ds = fd_jacobian(bare_map.S, nodes, FDStencil.for_point(nodes))
-    de = fd_jacobian(bare_field.direction, nodes, FDStencil.for_point(nodes))
+    ds = fd_jacobian(bare_map.S, nodes)
+    de = fd_jacobian(bare_field.direction, nodes)
     worst_curl_s = np.max(np.abs(ds[..., 1, 0] - ds[..., 0, 1]))
     worst_curl_e = np.max(np.abs(de[..., 1, 0] - de[..., 0, 1]))
     assert (admissibility(bare_map, grid, 1.0).margins["max_abs_curl_S"]
@@ -225,7 +230,7 @@ def test_fd_hessian_default_step_keeps_roundoff_small(rng):
 
 def test_fd_hessian_symmetric_and_exact_for_quadratics():
     f = lambda x: x[..., 0] ** 2 - 4.0 * x[..., 0] * x[..., 1] + 2.5 * x[..., 1] ** 2
-    h = fd_hessian(f, np.array([1.0, 2.0]), FDStencil(1e-4, 1e-4))
+    h = fd_hessian(f, np.array([1.0, 2.0]), 1e-4)
     assert np.allclose(h, h.T)
     assert np.allclose(h, [[2.0, -4.0], [-4.0, 5.0]], atol=1e-6)
 
@@ -237,7 +242,8 @@ class TestGrid2D:
         assert np.allclose(g.spacing, [0.5, 0.25])
         assert g.box == ((-1.0, 1.0), (0.0, 2.0))
 
-    @pytest.mark.parametrize("n1, n2", [(0, 0), (1, 1), (1, 5), (5, 1), (-2, 3)])
+    @pytest.mark.parametrize("n1, n2", [(0, 0), (1, 1), (1, 5), (5, 1), (-2, 3),
+                                        ("77", None), (True, 5), (51.7, 51)])
     def test_from_box_needs_two_nodes_per_axis(self, n1, n2):
         with pytest.raises(ValueError, match="at least 2 nodes per axis"):
             Grid2D.from_box(((0.0, 1.0), (0.0, 1.0)), n1, n2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridlens.errors import FeasibilityViolation, PathInconsistency
-from hybridlens.geometry import FDStencil, Grid2D, fd_hessian
+from hybridlens.geometry import Grid2D, fd_hessian
 from hybridlens.imaging import (
     FEASIBILITY_SLACK,
     VarphiProfile,
@@ -283,7 +283,7 @@ class TestClosedForms:
             i, j = rng.integers(20, 81, 2)
             x = dilation_design.grid.node(i, j)
             closed = hessian_closed_form(dilation_design, x0=x)
-            fd = fd_hessian(surf.height, x, FDStencil(1e-4, 1e-4))
+            fd = fd_hessian(surf.height, x, 1e-4)
             worst = max(worst, np.max(np.abs(closed - fd)) / np.max(np.abs(closed)))
         assert worst < 1e-4
 

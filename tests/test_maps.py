@@ -157,8 +157,11 @@ def test_batch_derivatives_match_single_points(target_map, rng):
 
 
 def test_single_point_jac_S_rejected_for_a_batch():
-    m = TargetMap(name="single", T=dilation(0.2).T,
+    m = TargetMap(name="single", T=lambda x: np.array([0.1, 0.2]),
                   jac_S=lambda x: 0.2 * np.eye(2))
     assert np.array_equal(m.DS(np.zeros(2)), 0.2 * np.eye(2))
+    assert np.array_equal(m.S(np.zeros(2)), [0.1, 0.2])
     with pytest.raises(ValueError):
         m.DS(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="map 'single' T"):
+        m.S(np.zeros((4, 2)))

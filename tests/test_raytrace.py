@@ -11,7 +11,7 @@ from hybridlens.fields import vertical
 from hybridlens.geometry import Grid2D
 from hybridlens.imaging import solve_rho
 from hybridlens.maps import identity
-from hybridlens.raytrace import TraceableLens, spot_diagram, trace_through
+from hybridlens.raytrace import TraceableLens, trace_through
 
 
 @pytest.fixture(scope="module")
@@ -117,14 +117,6 @@ def test_samples_outside_the_patch_are_counted(dilation_lens, constants,
                            gradient_mode=mode)
     assert report.aggregates["outside_patch"] == 1
     assert np.array_equal(report.landings[:-1], inside.landings)
-
-
-def test_spot_diagram(dilation_lens, constants, node_samples):
-    report = trace_through(dilation_lens, vertical(), constants, node_samples)
-    spot = spot_diagram(report)
-    assert spot["spot_radius"] == report.aggregates["max_landing_error"]
-    assert spot["quantiles"]["q100"] == spot["spot_radius"]
-    assert spot["quantiles"]["q0"] <= spot["quantiles"]["q50"]
 
 
 REPORT_FIELDS = ["hits", "mid_directions", "meta_points", "exit_directions",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridlens.geometry import FDStencil, fd_gradient, fd_hessian
+from hybridlens.geometry import fd_hessian, fd_jacobian
 from hybridlens.surfaces import Surface, flat, from_design, from_grid, polynomial
 
 
@@ -20,8 +20,8 @@ def test_polynomial_matches_fd(rng):
     s = polynomial(c)
     for _ in range(10):
         x = rng.uniform(-0.5, 0.5, 2)
-        g_fd = fd_gradient(s.value, x, FDStencil(1e-6, 1e-6))
-        h_fd = fd_hessian(s.value, x, FDStencil(1e-4, 1e-4))
+        g_fd = fd_jacobian(s.value, x, 1e-6)
+        h_fd = fd_hessian(s.value, x, 1e-4)
         assert np.allclose(s.gradient(x), g_fd, atol=1e-8)
         assert np.allclose(s.hessian(x), h_fd, atol=1e-6)
 
@@ -102,8 +102,11 @@ def test_user_surface_batch_matches_single_points(kind, dilation_design, rng):
 
 
 def test_single_point_hess_rejected_for_a_batch():
-    s = Surface(name="single", value=flat(0.4).value,
+    s = Surface(name="single", value=lambda x: 0.4,
                 hess=lambda x: np.zeros((2, 2)))
     assert np.array_equal(s.hessian(np.zeros(2)), np.zeros((2, 2)))
+    assert s.height(np.zeros(2)) == 0.4
     with pytest.raises(ValueError):
         s.hessian(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="surface 'single' value"):
+        s.height(np.zeros((4, 2)))

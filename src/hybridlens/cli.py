@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import farfield, imaging, io, raytrace
-from .config import DesignConfig
+from .config import DesignConfig, read_tolerance
 from .errors import ConfigError, HybridLensError
 from .fields import curl_condition, vertical
 from .geometry import Grid2D
@@ -76,7 +76,8 @@ def cmd_check(args):
     if cfg.target_map is None and cfg.incident_field is None:
         raise ConfigError("check requires a 'map' or 'field' section")
     if args.tol is not None:
-        cfg.tolerances.update(admissibility=args.tol, curl=args.tol)
+        tol = read_tolerance(args.tol, "--tol")
+        cfg.tolerances.update(admissibility=tol, curl=tol)
     reports = _run_checks(cfg)
     summary = combine("check", reports)
     out = _out_dir(args, cfg)
@@ -214,9 +215,13 @@ def cmd_plot2d(args):
         raise ConfigError("plot2d requires 'z0'")
     t_range = cfg.t_range or (-1.0, 1.0)
     step = 1e-3 if cfg.step is None else cfg.step
+    files = {f"profile_alpha_{alpha:+g}.csv": alpha for alpha in cfg.alphas}
+    if len(files) < len(cfg.alphas):
+        raise ConfigError(f"alphas {cfg.alphas} name only {len(files)} "
+                          f"distinct files profile_alpha_{{alpha:+g}}.csv")
     out = _out_dir(args, cfg)
     failures = []
-    for alpha in cfg.alphas:
+    for name, alpha in files.items():
         try:
             t, rho = imaging.solve_rho_2d(
                 lambda tt, alpha=alpha: alpha * tt,
@@ -225,7 +230,7 @@ def cmd_plot2d(args):
         except HybridLensError as exc:
             failures.append((alpha, str(exc)))
             continue
-        io.write_csv(out / f"profile_alpha_{alpha:+g}.csv", ["t", "rho"], [t, rho])
+        io.write_csv(out / name, ["t", "rho"], [t, rho])
     if failures:
         for alpha, msg in failures:
             print(f"alpha = {alpha}: {msg}", file=sys.stderr)
@@ -236,6 +241,7 @@ def cmd_plot2d(args):
 
 def cmd_lemma_check(args):
     cfg = DesignConfig.from_file(args.config)
+    tol = 1e-11 if args.tol is None else read_tolerance(args.tol, "--tol")
     kappa1 = cfg.constants.kappa1
     radius = 0.95 * np.sqrt(kappa1**2 - 1.0)
     n = 1000
@@ -243,7 +249,6 @@ def cmd_lemma_check(args):
     y = np.random.default_rng(0).uniform(-radius, radius, (2 * n, 2))
     y = y[np.linalg.norm(y, axis=-1) <= radius][:n]
     worst = float(np.max(imaging.lemma_identity_check(y, kappa1)))
-    tol = args.tol if args.tol is not None else 1e-11
     out = _out_dir(args, cfg)
     io.write_json(
         out / "lemma_report.json",

@@ -40,17 +40,28 @@ def _reject_unknown(d, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _number(value, where):
-    """``value`` as a finite float; JSON's true/false are not numbers."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
-    if not math.isfinite(number):
+def read_number(value, where):
+    """``value`` as a finite float.  Only a JSON number is one: not
+    true/false, and not a string such as "0.5"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return number
+    return float(value)
+
+
+def read_tolerance(value, where):
+    """``value`` as a tolerance: a finite float >= 0."""
+    if read_number(value, where) < 0.0:
+        raise ConfigError(f"{where} must be a number >= 0, got {value!r}")
+    return float(value)
+
+
+def read_x0(value):
+    """The design anchor of an "x0" key: a pair of finite numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"x0 must be a pair of numbers, got {value!r}")
+    return np.array([read_number(v, "x0") for v in value])
 
 
 def read_constants(d):
@@ -127,33 +138,34 @@ class DesignConfig:
             except (KeyError, ValueError) as exc:
                 raise ConfigError(f"bad grid spec: {exc}") from exc
         if raw.get("x0") is not None:
-            x0 = raw["x0"]
-            if not (isinstance(x0, (list, tuple)) and len(x0) == 2):
-                raise ConfigError("x0 must be a pair of numbers")
-            cfg.x0 = np.array([_number(v, "x0") for v in x0])
+            cfg.x0 = read_x0(raw["x0"])
         if raw.get("z0") is not None:
-            cfg.z0 = _number(raw["z0"], "z0")
+            cfg.z0 = read_number(raw["z0"], "z0")
         if "tolerances" in raw:
             _reject_unknown(raw["tolerances"], DEFAULT_TOLERANCES, "tolerances")
             cfg.tolerances.update(
-                {k: _number(v, f"tolerances.{k}")
+                {k: read_tolerance(v, f"tolerances.{k}")
                  for k, v in raw["tolerances"].items()}
             )
         if "output_dir" in raw:
-            cfg.output_dir = str(raw["output_dir"])
+            if not isinstance(raw["output_dir"], str):
+                raise ConfigError(f"output_dir must be a string, got "
+                                  f"{raw['output_dir']!r}")
+            cfg.output_dir = raw["output_dir"]
         if "alphas" in raw:
             if not isinstance(raw["alphas"], list):
                 raise ConfigError("alphas must be a list of numbers")
-            cfg.alphas = [_number(v, "alphas") for v in raw["alphas"]]
+            cfg.alphas = [read_number(v, "alphas") for v in raw["alphas"]]
         if "t_range" in raw:
             tr = raw["t_range"]
             if not (isinstance(tr, (list, tuple)) and len(tr) == 2):
                 raise ConfigError("t_range must be a pair [t_min, t_max]")
-            cfg.t_range = (_number(tr[0], "t_range"), _number(tr[1], "t_range"))
+            cfg.t_range = (read_number(tr[0], "t_range"),
+                           read_number(tr[1], "t_range"))
             if not cfg.t_range[0] <= 0.0 <= cfg.t_range[1]:
                 raise ConfigError("t_range must contain 0")
         if "step" in raw:
-            cfg.step = _number(raw["step"], "step")
+            cfg.step = read_number(raw["step"], "step")
             if not cfg.step > 0.0:
                 raise ConfigError(f"step must be > 0, got {cfg.step}")
         return cfg

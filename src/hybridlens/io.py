@@ -27,6 +27,11 @@ columns it is asked for with ``np.loadtxt(usecols=...)``.  ``load_lens``
 reads a design back for ``trace``: the grid from design.json's box and
 shape, rho.csv's ``rho``, and only the phase.csv columns of the trace's
 gradient mode.
+
+``RHO_COLUMNS``, ``PHASE_COLUMNS`` and ``TRACE_COLUMNS`` are the one
+record of which column of rho.csv, phase.csv and trace_report.csv holds
+which array; ``_write_table`` and ``_read_table`` name columns only
+through them.
 """
 
 import functools
@@ -308,13 +313,45 @@ def read_json(path):
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
-#: The columns of rho.csv, in the order they are written.
-RHO_HEADER = ("x1", "x2", "rho", "z", "drho1", "drho2")
-#: The phase.csv columns of each ``PhaseMap`` field, in the order they
-#: are written.
+#: The columns of each CSV: for each field of the object written, its
+#: column names, in the order they are written.  A field of one column
+#: is an array of the grid's shape, a field of k columns one of shape
+#: (..., k) split along its last axis.  rho.csv's "nodes" are its grid's.
+RHO_COLUMNS = {"nodes": ("x1", "x2"), "rho": ("rho",), "z": ("z",),
+               "drho": ("drho1", "drho2")}
 PHASE_COLUMNS = {"Q": ("Q1", "Q2"), "phi": ("phi",),
                  "grad_tan": ("dphi_du1", "dphi_du2")}
-PHASE_HEADER = sum(PHASE_COLUMNS.values(), ())
+TRACE_COLUMNS = {"samples": ("x1", "x2"), "hits": ("hit1", "hit2", "hit3"),
+                 "mid_directions": ("m1", "m2", "m3"),
+                 "meta_points": ("Q1", "Q2"),
+                 "exit_directions": ("w1", "w2", "w3"),
+                 "landings": ("land1", "land2"),
+                 "targets": ("target1", "target2")}
+
+
+def _write_table(path, table, fields):
+    """Write ``fields`` (field -> array) as the columns of ``table``, in
+    one ``write_csv`` call."""
+    header, columns = [], []
+    for field, names in table.items():
+        array = fields[field]
+        header += names
+        columns += ([array.ravel()] if len(names) == 1 else
+                    [array[..., i].ravel() for i in range(len(names))])
+    write_csv(path, header, columns)
+
+
+def _read_table(path, table, fields, shape):
+    """The arrays of ``fields`` of a CSV that ``_write_table`` wrote from
+    ``table`` over a grid of ``shape``; ``read_csv`` checks it whole."""
+    _, cols = read_csv(path, sum(table.values(), ()),
+                       sum((table[field] for field in fields), ()),
+                       shape[0] * shape[1])
+    read = {}
+    for field in fields:
+        parts = [cols[name].reshape(shape) for name in table[field]]
+        read[field] = parts[0] if len(parts) == 1 else np.stack(parts, axis=-1)
+    return read
 
 
 def _same_bits(a, b):
@@ -335,19 +372,8 @@ def design_to_files(design, out_dir):
                          "box and shape, which design.json stores")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    nodes = grid.nodes()
-    write_csv(
-        out / "rho.csv",
-        RHO_HEADER,
-        [
-            nodes[:, 0],
-            nodes[:, 1],
-            design.rho.ravel(),
-            design.z.ravel(),
-            design.drho[..., 0].ravel(),
-            design.drho[..., 1].ravel(),
-        ],
-    )
+    _write_table(out / "rho.csv", RHO_COLUMNS,
+                 {"nodes": grid.nodes(), **vars(design)})
     c = design.constants
     write_json(
         out / "design.json",
@@ -370,17 +396,7 @@ def phase_to_files(phase, out_dir, constants):
     """Emit phase.csv with a JSON header file describing the metasurface."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "phase.csv",
-        PHASE_HEADER,
-        [
-            phase.Q[..., 0].ravel(),
-            phase.Q[..., 1].ravel(),
-            phase.phi.ravel(),
-            phase.grad_tan[..., 0].ravel(),
-            phase.grad_tan[..., 1].ravel(),
-        ],
-    )
+    _write_table(out / "phase.csv", PHASE_COLUMNS, vars(phase))
     write_json(
         out / "phase.json",
         {"k": constants.k, "a": constants.a, "kappa2": constants.kappa2,
@@ -393,29 +409,30 @@ def _load_design(in_dir):
     design.json's box and shape; ``z`` and ``drho`` are None.  A
     design.json that does not describe a design raises ``ConfigError``
     naming it."""
-    from .config import read_constants, read_map
+    from .config import read_constants, read_map, read_number, read_x0
     from .imaging import LensDesign
 
     path = Path(in_dir) / "design.json"
     meta = read_json(path)
     try:
+        if meta["kind"] != "imaging":
+            raise ConfigError(f"kind must be 'imaging', got {meta['kind']!r}")
         n1, n2 = meta["grid"]["shape"]
         grid = Grid2D.from_box(meta["grid"]["box"], n1, n2)
         read = dict(
             constants=read_constants(meta["constants"]),
             target_map=read_map(meta["map"]),
-            x0=np.asarray(meta["x0"], dtype=float),
-            z0=float(meta["z0"]),
-            path_residual=float(meta["path_residual"]),
+            x0=read_x0(meta["x0"]),
+            z0=read_number(meta["z0"], "z0"),
+            path_residual=read_number(meta["path_residual"], "path_residual"),
         )
     except KeyError as exc:
         raise ConfigError(f"bad design {path}: no key {exc}") from exc
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad design {path}: {exc}") from exc
-    _, cols = read_csv(Path(in_dir) / "rho.csv", RHO_HEADER, ["rho"],
-                       n1 * n2)
-    return LensDesign(grid=grid, rho=cols["rho"].reshape(grid.shape), z=None,
-                      drho=None, **read)
+    rho = _read_table(Path(in_dir) / "rho.csv", RHO_COLUMNS, ["rho"],
+                      grid.shape)["rho"]
+    return LensDesign(grid=grid, rho=rho, z=None, drho=None, **read)
 
 
 def _load_phase(in_dir, shape, constants, fields):
@@ -435,13 +452,8 @@ def _load_phase(in_dir, shape, constants, fields):
             raise ConfigError(
                 f"bad phase {path}: {name} = {meta.get(name)!r}, but the "
                 f"design's is {getattr(constants, name)!r}")
-    names = [name for field in fields for name in PHASE_COLUMNS[field]]
-    _, cols = read_csv(Path(in_dir) / "phase.csv", PHASE_HEADER, names,
-                       shape[0] * shape[1])
-    read = {}
-    for field in fields:
-        parts = [cols[name].reshape(shape) for name in PHASE_COLUMNS[field]]
-        read[field] = parts[0] if len(parts) == 1 else np.stack(parts, axis=-1)
+    read = _read_table(Path(in_dir) / "phase.csv", PHASE_COLUMNS, fields,
+                       shape)
     return PhaseMap(**{field: read.get(field) for field in PHASE_COLUMNS},
                     warnings=meta["warnings"])
 
@@ -471,22 +483,8 @@ def load_lens(in_dir, mode):
 def trace_report_to_files(report, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = [
-        "x1", "x2", "hit1", "hit2", "hit3", "m1", "m2", "m3",
-        "Q1", "Q2", "w1", "w2", "w3", "land1", "land2",
-    ]
-    columns = [
-        report.samples[:, 0], report.samples[:, 1],
-        report.hits[:, 0], report.hits[:, 1], report.hits[:, 2],
-        report.mid_directions[:, 0], report.mid_directions[:, 1],
-        report.mid_directions[:, 2],
-        report.meta_points[:, 0], report.meta_points[:, 1],
-        report.exit_directions[:, 0], report.exit_directions[:, 1],
-        report.exit_directions[:, 2],
-        report.landings[:, 0], report.landings[:, 1],
-    ]
-    if report.targets is not None:
-        header += ["target1", "target2"]
-        columns += [report.targets[:, 0], report.targets[:, 1]]
-    write_csv(out / "trace_report.csv", header, columns)
+    table = TRACE_COLUMNS
+    if report.targets is None:  # a trace with no target map to land on
+        table = {f: names for f, names in table.items() if f != "targets"}
+    _write_table(out / "trace_report.csv", table, vars(report))
     write_json(out / "trace_aggregates.json", report.aggregates)

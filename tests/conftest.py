@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from hybridlens import Grid2D, OpticalConstants, dilation, solve_rho
+from hybridlens.geometry import Grid2D
+from hybridlens.imaging import solve_rho
+from hybridlens.maps import dilation
+from hybridlens.snell import OpticalConstants
 
 
 @pytest.fixture(scope="session")

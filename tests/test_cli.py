@@ -11,6 +11,7 @@ import pytest
 import hybridlens
 from hybridlens import io
 from hybridlens.cli import build_parser, main
+from hybridlens.imaging import lemma_identity_check
 
 CONSTANTS = {"n1": 1.0, "n2": 1.5, "n3": 1.0, "a": 1.0, "c": 1.5}
 
@@ -294,6 +295,13 @@ def _set_grid_shape(shape):
         box=[[-0.5, float("inf")], [-0.5, 0.5]]))),
     ("design.json", _edit_json(lambda m: m["grid"].update(
         box=[[0.7, -0.7], [-0.7, 0.7]]))),
+    ("design.json", _edit_json(lambda m: m.update(z0=True))),
+    ("design.json", _edit_json(lambda m: m.update(z0="0.5"))),
+    ("design.json", _edit_json(lambda m: m.update(x0=[0, 0, 0]))),
+    ("design.json", _edit_json(lambda m: m.update(x0=None))),
+    ("design.json", _edit_json(lambda m: m.update(path_residual="nan"))),
+    ("design.json", _edit_json(lambda m: m.update(path_residual=True))),
+    ("design.json", _edit_json(lambda m: m.update(kind="farfield"))),
     ("phase.json", lambda path: path.write_text("[1, 2]")),
     ("phase.json", _edit_json(lambda m: m.pop("warnings"))),
     ("phase.json", _edit_json(lambda m: m.update(k=2.0))),
@@ -302,9 +310,10 @@ def _set_grid_shape(shape):
 ], ids=["negative-k", "nan-constant", "unknown-map", "no-constants",
         "cut-design", "cut-phase", "n2-below-n1", "c-below-a",
         "float-shape", "string-shape", "three-axis-shape", "one-row-shape",
-        "string-box", "infinite-box", "reversed-box",
-        "phase-not-an-object", "no-warnings", "other-k", "other-a",
-        "other-kappa2"])
+        "string-box", "infinite-box", "reversed-box", "z0-true",
+        "z0-string", "x0-three-numbers", "x0-null", "path_residual-string",
+        "path_residual-true", "kind-farfield", "phase-not-an-object",
+        "no-warnings", "other-k", "other-a", "other-kappa2"])
 def test_trace_on_a_damaged_json_artifact_exit_2_with_one_line(
         name, damage, dilation_cfg, tmp_path, capsys):
     assert main(["design-imaging", "--config", dilation_cfg]) == 0
@@ -367,8 +376,8 @@ def test_shipped_configs_run(command, config, extra, tmp_path):
     assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]
                 + extra) == 0
     if command == "design-imaging":
-        _, cols = io.read_csv(out / "rho.csv", io.RHO_HEADER, ["x1", "x2"],
-                              rows=31 * 31)
+        _, cols = io.read_csv(out / "rho.csv", sum(io.RHO_COLUMNS.values(), ()),
+                              ["x1", "x2"], rows=31 * 31)
         assert np.unique(cols["x1"]).size == np.unique(cols["x2"]).size == 31
         assert io.read_json(out / "verdict.json")["existence_verdict"]["passed"]
     else:
@@ -403,7 +412,7 @@ def test_lemma_check(tmp_path):
         y = rng.uniform(-radius, radius, 2)
         if np.linalg.norm(y) > radius:
             continue
-        worst = max(worst, float(hybridlens.lemma_identity_check(y, kappa1)))
+        worst = max(worst, float(lemma_identity_check(y, kappa1)))
         count += 1
     assert report["max_residual"] == worst
 
@@ -504,6 +513,11 @@ MALFORMED = {
     "grid-n-1": ("check", IMAGING, {"grid": {**IMAGING["grid"], "n": 1}}),
     "grid-n-1-by-11": ("design-imaging", IMAGING,
                        {"grid": {**IMAGING["grid"], "n": [1, 11]}}),
+    "tolerance-negative": ("check", IMAGING,
+                           {"tolerances": {"admissibility": -1}}),
+    "alphas-one-file-name": ("plot2d", PROFILES,
+                             {"alphas": [0.1234561, 0.1234562]}),
+    "alphas-repeated": ("plot2d", PROFILES, {"alphas": [0.2, 0.2]}),
 }
 
 
@@ -515,6 +529,7 @@ def test_malformed_config_exits_2_with_one_line(case, tmp_path, capsys):
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, nodes", [

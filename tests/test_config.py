@@ -128,7 +128,8 @@ def constants(**change):
     return {"constants": {**BASE["constants"], **change}}
 
 
-# case: (command, base config, changed keys, the key the message names)
+# case: (command, base config, changed keys, the key the message names,
+# and any flags)
 NOT_A_FINITE_NUMBER = {
     "n1-nan": ("design-imaging", BASE, constants(n1=NAN), "n1"),
     "n1-true": ("design-imaging", BASE, constants(n1=True), "n1"),
@@ -150,6 +151,12 @@ NOT_A_FINITE_NUMBER = {
     "t_range-minus-inf": ("plot2d", PROFILES, {"t_range": [-INF, 1.0]},
                           "t_range"),
     "step-inf": ("plot2d", PROFILES, {"step": INF}, "step"),
+    "z0-string": ("design-imaging", BASE, {"z0": "0.5"}, "z0"),
+    "output_dir-null": ("check", BASE, {"output_dir": None}, "output_dir"),
+    "output_dir-number": ("check", BASE, {"output_dir": 5}, "output_dir"),
+    "check-tol-nan": ("check", BASE, {}, "--tol", "--tol", "nan"),
+    "check-tol-negative": ("check", BASE, {}, "--tol", "--tol", "-1"),
+    "lemma-check-tol-nan": ("lemma-check", BASE, {}, "--tol", "--tol", "nan"),
 }
 # a grid spec that is not an increasing box and int node counts >= 2,
 # refused before any design work by both commands that take a grid
@@ -174,11 +181,11 @@ NOT_A_FINITE_NUMBER.update({
 @pytest.mark.parametrize("case", NOT_A_FINITE_NUMBER)
 def test_a_value_that_is_not_a_finite_number_exits_2_naming_its_key(
         case, tmp_path, capsys):
-    command, base, change, key = NOT_A_FINITE_NUMBER[case]
+    command, base, change, key, *flags = NOT_A_FINITE_NUMBER[case]
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**base, **change}))
     out = tmp_path / "out"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert f" {key} must be a" in err

@@ -319,7 +319,7 @@ class TestExistenceVerdict:
         assert "zeta_perp = 0" in report.details
 
     def test_eikonal_passes_with_eigenvalues(self):
-        from hybridlens import OpticalConstants
+        from hybridlens.snell import OpticalConstants
 
         deep = OpticalConstants(n1=1.0, n2=1.5, n3=1.0, a=10.0, c=15.0)
         grid = Grid2D.from_box(((-0.2, 0.2), (-0.2, 0.2)), 21)
@@ -371,6 +371,6 @@ class Test2D:
 
 @pytest.fixture(scope="session")
 def constants100():
-    from hybridlens import OpticalConstants
+    from hybridlens.snell import OpticalConstants
 
     return OpticalConstants(n1=1.0, n2=1.5, n3=1.0, a=100.0, c=150.0)

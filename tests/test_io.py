@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hybridlens.fields import vertical
 from hybridlens.geometry import Grid2D
 from hybridlens.imaging import LensDesign
 from hybridlens.maps import dilation
+from hybridlens.raytrace import TraceReport
 from hybridlens.surfaces import from_design
 
 
@@ -288,8 +290,8 @@ def test_design_round_trip_bit_equal(dilation_design, constants, tmp_path):
                       from_design(d).height(points))
     assert _same_bits(lens.surface.gradient(points),
                       from_design(d).gradient(points))
-    _, cols = io.read_csv(tmp_path / "rho.csv", io.RHO_HEADER,
-                          rows=d.rho.size)
+    _, cols = io.read_csv(tmp_path / "rho.csv",
+                          sum(io.RHO_COLUMNS.values(), ()), rows=d.rho.size)
     assert np.array_equal(cols["rho"], d.rho.ravel())
     assert np.array_equal(cols["z"], d.z.ravel())
     assert np.array_equal(np.stack([cols["drho1"], cols["drho2"]], axis=-1),
@@ -299,8 +301,8 @@ def test_design_round_trip_bit_equal(dilation_design, constants, tmp_path):
 
 def test_phase_round_trip(dilation_design, constants, tmp_path):
     phase = _write_lens(dilation_design, constants, tmp_path)
-    _, cols = io.read_csv(tmp_path / "phase.csv", io.PHASE_HEADER,
-                          rows=phase.phi.size)
+    _, cols = io.read_csv(tmp_path / "phase.csv",
+                          sum(io.PHASE_COLUMNS.values(), ()), rows=phase.phi.size)
     assert np.array_equal(cols["phi"], phase.phi.ravel())
     assert np.array_equal(np.stack([cols["Q1"], cols["Q2"]], axis=-1),
                           phase.Q.reshape(-1, 2))
@@ -354,7 +356,8 @@ def test_the_loaded_grid_is_the_stored_one_bit_for_bit(n, constants, tmp_path):
     io.design_to_files(_plain_design(grid, constants), tmp_path)
     io.phase_to_files(_plain_phase(grid), tmp_path, constants)
     lens, _ = io.load_lens(tmp_path, "analytic")
-    _, cols = io.read_csv(tmp_path / "rho.csv", io.RHO_HEADER, ["x1", "x2"])
+    _, cols = io.read_csv(tmp_path / "rho.csv",
+                          sum(io.RHO_COLUMNS.values(), ()), ["x1", "x2"])
     x1, x2 = lens.grid.meshgrid()
     assert _same_bits(x1.ravel(), cols["x1"])
     assert _same_bits(x2.ravel(), cols["x2"])
@@ -369,3 +372,20 @@ def test_design_to_files_refuses_a_grid_its_box_and_shape_do_not_rebuild(
     with pytest.raises(ValueError, match="from_box"):
         io.design_to_files(_plain_design(strided, constants), tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_trace_report_leaves_out_only_targets_that_are_none(tmp_path):
+    """No target map, no target columns; any other field must be there."""
+    rows = np.arange(6.0).reshape(3, 2)
+    directions = np.column_stack([rows, np.ones(3)])
+    report = TraceReport(samples=rows, hits=directions,
+                         mid_directions=directions, meta_points=rows,
+                         exit_directions=directions, landings=rows)
+    io.trace_report_to_files(report, tmp_path)
+    header, cols = io.read_csv(tmp_path / "trace_report.csv")
+    assert header == [name for field, names in io.TRACE_COLUMNS.items()
+                      if field != "targets" for name in names]
+    assert np.array_equal(np.column_stack([cols["w1"], cols["w2"], cols["w3"]]),
+                          directions)
+    with pytest.raises(TypeError):
+        io.trace_report_to_files(replace(report, hits=None), tmp_path)

@@ -138,23 +138,26 @@ def _nearest(axis, u):
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Regular tensor grid over a rectangular box, 'ij' indexing."""
+    """The tensor grid of ``shape`` = (n1, n2) nodes spanning ``box`` =
+    ((lo1, hi1), (lo2, hi2)), 'ij' indexing.  Its axes ``x1`` and ``x2``
+    are ``np.linspace`` of the box, read-only, so a grid is its box and
+    its node counts, and grids compare and hash by them.
 
-    x1: np.ndarray
-    x2: np.ndarray
+    Raises ``ValueError`` unless each count is an int >= 2 (a bool is
+    not) and the box is two pairs of finite numbers with lo < hi.
+    """
 
-    @staticmethod
-    def from_box(box, n1, n2=None):
-        """The grid of n1 x n2 nodes (``n2`` defaults to ``n1``) spanning
-        ``box`` = ((lo1, hi1), (lo2, hi2)).  Raises ``ValueError`` unless
-        each count is an int >= 2 (a bool is not) and the box is two
-        pairs of finite numbers with lo < hi."""
-        n2 = n1 if n2 is None else n2
-        if not all(type(n) is int and n >= 2 for n in (n1, n2)):
+    box: tuple
+    shape: tuple
+
+    def __post_init__(self):
+        shape = self.shape
+        shape = tuple(shape) if isinstance(shape, (tuple, list)) else (shape,)
+        if not (len(shape) == 2 and all(type(n) is int and n >= 2 for n in shape)):
             raise ValueError(f"grid.n must be at least 2 nodes per axis, "
-                             f"each an int, got {n1!r}x{n2!r}")
+                             f"each an int, got {'x'.join(map(repr, shape))}")
         try:
-            (a1, b1), (a2, b2) = box
+            (a1, b1), (a2, b2) = self.box
             ends = [float(v) for v in (a1, b1, a2, b2)
                     if isinstance(v, numbers.Real) and not isinstance(v, bool)]
         except (TypeError, ValueError, OverflowError):
@@ -163,32 +166,27 @@ class Grid2D:
                 and ends[0] < ends[1] and ends[2] < ends[3]):
             raise ValueError(f"grid.box must be a pair (lo, hi) of finite "
                              f"numbers with lo < hi for each of two axes, "
-                             f"got {box!r}")
+                             f"got {self.box!r}")
         a1, b1, a2, b2 = ends
-        return Grid2D(np.linspace(a1, b1, n1), np.linspace(a2, b2, n2))
+        x1, x2 = np.linspace(a1, b1, shape[0]), np.linspace(a2, b2, shape[1])
+        x1.flags.writeable = x2.flags.writeable = False
+        # frozen: the fields and axes are set in the instance's dict
+        vars(self).update(box=((a1, b1), (a2, b2)), shape=shape, x1=x1, x2=x2)
 
-    @property
-    def shape(self):
-        return (self.x1.size, self.x2.size)
+    @staticmethod
+    def from_box(box, n1, n2=None):
+        """The grid of n1 x n2 nodes (``n2`` defaults to ``n1``) spanning
+        ``box``."""
+        return Grid2D(box, (n1, n1 if n2 is None else n2))
 
     @property
     def spacing(self):
-        return np.array(
-            [
-                self.x1[1] - self.x1[0] if self.x1.size > 1 else 0.0,
-                self.x2[1] - self.x2[0] if self.x2.size > 1 else 0.0,
-            ]
-        )
-
-    @property
-    def box(self):
-        return ((self.x1[0], self.x1[-1]), (self.x2[0], self.x2[-1]))
+        return np.array([self.x1[1] - self.x1[0], self.x2[1] - self.x2[0]])
 
     @property
     def diameter(self):
-        return float(
-            np.hypot(self.x1[-1] - self.x1[0], self.x2[-1] - self.x2[0])
-        )
+        (a1, b1), (a2, b2) = self.box
+        return float(np.hypot(b1 - a1, b2 - a2))
 
     def meshgrid(self):
         return np.meshgrid(self.x1, self.x2, indexing="ij")

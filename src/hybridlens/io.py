@@ -36,6 +36,7 @@ through them.
 
 import functools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -305,11 +306,28 @@ def write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _json_int(text):
+    """A JSON integer as an int, refused if it is too large for a float."""
+    # JSON has no leading zeros, so a text longer than a sign and the
+    # largest float's 309 digits is too large without parsing it (int()
+    # refuses texts past 4300 digits)
+    if len(text) > 310 or abs(int(text)) > sys.float_info.max:
+        raise ValueError(f"an integer of {len(text.lstrip('-'))} digits is "
+                         f"too large for a float")
+    return int(text)
+
+
 def read_json(path):
-    """The JSON value in a file; ``ConfigError`` naming it if it does not parse."""
+    """The JSON value in a file.  A file that cannot be read, is not
+    UTF-8 JSON, or holds an integer too large for a float raises
+    ``ConfigError`` naming it; a missing file, ``FileNotFoundError``."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(), parse_int=_json_int)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # also bad UTF-8, and _json_int's refusal
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -354,22 +372,10 @@ def _read_table(path, table, fields, shape):
     return read
 
 
-def _same_bits(a, b):
-    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
-
-
 def design_to_files(design, out_dir):
-    """Emit rho.csv (grids) and design.json (metadata) for a lens design.
-
-    design.json stores the grid by its box and shape, so a grid that
-    ``Grid2D.from_box`` does not rebuild bit for bit from them, such as
-    a strided subgrid, raises ``ValueError``.
-    """
+    """Emit rho.csv (grids) and design.json (metadata) for a lens design;
+    design.json stores the grid as its box and shape."""
     grid = design.grid
-    rebuilt = Grid2D.from_box(grid.box, *grid.shape)
-    if not (_same_bits(rebuilt.x1, grid.x1) and _same_bits(rebuilt.x2, grid.x2)):
-        raise ValueError("the design grid is not Grid2D.from_box of its own "
-                         "box and shape, which design.json stores")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_table(out / "rho.csv", RHO_COLUMNS,
@@ -417,8 +423,7 @@ def _load_design(in_dir):
     try:
         if meta["kind"] != "imaging":
             raise ConfigError(f"kind must be 'imaging', got {meta['kind']!r}")
-        n1, n2 = meta["grid"]["shape"]
-        grid = Grid2D.from_box(meta["grid"]["box"], n1, n2)
+        grid = Grid2D(meta["grid"]["box"], meta["grid"]["shape"])
         read = dict(
             constants=read_constants(meta["constants"]),
             target_map=read_map(meta["map"]),

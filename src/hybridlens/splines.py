@@ -1,9 +1,10 @@
 """Tensor-product interpolating splines over a design grid, in numpy.
 
 ``GridSpline`` is the spline that FITPACK's ``regrid`` (scipy's
-``RectBivariateSpline`` with ``s=0``) builds through samples on a
-``Grid2D``, fit and evaluated as array code (Dierckx, *Curve and Surface
-Fitting with Splines*, 1993):
+``RectBivariateSpline`` with ``s=0``) builds through samples on the
+tensor grid of two strictly increasing axes ``x1`` and ``x2``, a
+``Grid2D``'s or any non-uniform ones, fit and evaluated as array code
+(Dierckx, *Curve and Surface Fitting with Splines*, 1993):
 
 * knots: for an odd order ``k`` the interior knots are the sites
   ``x[k//2+1 : m-k//2-1]``, for an even ``k`` the midpoints of the

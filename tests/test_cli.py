@@ -307,23 +307,33 @@ def _set_grid_shape(shape):
     ("phase.json", _edit_json(lambda m: m.update(k=2.0))),
     ("phase.json", _edit_json(lambda m: m.update(a=0.5))),
     ("phase.json", _edit_json(lambda m: m.update(kappa2=0.5))),
+    ("design.json", _edit_json(lambda m: m.update(z0=10**400))),
+    ("design.json", _edit_json(lambda m: m.update(x0=[0, -10**400]))),
+    ("design.json", _edit_json(lambda m: m["constants"].update(n2=10**400))),
+    ("design.json", lambda path: path.write_bytes(path.read_bytes() + b"\xff")),
+    ("phase.json", lambda path: path.write_bytes(path.read_bytes() + b"\xff")),
+    ("design.json", lambda path: (path.unlink(), path.mkdir())),
 ], ids=["negative-k", "nan-constant", "unknown-map", "no-constants",
         "cut-design", "cut-phase", "n2-below-n1", "c-below-a",
         "float-shape", "string-shape", "three-axis-shape", "one-row-shape",
         "string-box", "infinite-box", "reversed-box", "z0-true",
         "z0-string", "x0-three-numbers", "x0-null", "path_residual-string",
         "path_residual-true", "kind-farfield", "phase-not-an-object",
-        "no-warnings", "other-k", "other-a", "other-kappa2"])
+        "no-warnings", "other-k", "other-a", "other-kappa2", "z0-huge-int",
+        "x0-huge-int", "n2-huge-int", "design-0xff", "phase-0xff",
+        "design-a-directory"])
 def test_trace_on_a_damaged_json_artifact_exit_2_with_one_line(
         name, damage, dilation_cfg, tmp_path, capsys):
     assert main(["design-imaging", "--config", dilation_cfg]) == 0
     out = tmp_path / "out"
     damage(out / name)
     capsys.readouterr()
-    assert main(["trace", "--design", str(out)]) == 2
+    retrace = tmp_path / "retrace"
+    assert main(["trace", "--design", str(out), "--out", str(retrace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert name in err
+    assert not retrace.exists()
 
 
 def test_plot2d_curves(tmp_path):

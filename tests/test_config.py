@@ -116,6 +116,8 @@ def test_require_aliases():
 
 
 NAN, INF = float("nan"), float("inf")
+#: A JSON integer too large for a float: 1 and 400 zeros
+HUGE = 10**400
 PROFILES = {
     "constants": {**BASE["constants"], "a": 100.0, "c": 150.0},
     "alphas": [0.2],
@@ -128,8 +130,9 @@ def constants(**change):
     return {"constants": {**BASE["constants"], **change}}
 
 
-# case: (command, base config, changed keys, the key the message names,
-# and any flags)
+# case: (command, base config, changed keys or a function that writes
+# the config file, the key the message names or None for the file, and
+# any flags)
 NOT_A_FINITE_NUMBER = {
     "n1-nan": ("design-imaging", BASE, constants(n1=NAN), "n1"),
     "n1-true": ("design-imaging", BASE, constants(n1=True), "n1"),
@@ -157,6 +160,17 @@ NOT_A_FINITE_NUMBER = {
     "check-tol-nan": ("check", BASE, {}, "--tol", "--tol", "nan"),
     "check-tol-negative": ("check", BASE, {}, "--tol", "--tol", "-1"),
     "lemma-check-tol-nan": ("lemma-check", BASE, {}, "--tol", "--tol", "nan"),
+    # refused as the file is read, whatever the key
+    "n2-huge-int": ("check", BASE, constants(n2=HUGE), None),
+    "x0-huge-int": ("check", BASE, {"x0": [-HUGE, 0]}, None),
+    "tolerance-huge-int": ("check", BASE, {"tolerances": {"curl": HUGE}}, None),
+    "alpha-huge-int": ("check", BASE, {"map": {
+        "name": "dilation", "params": {"alpha": HUGE}}}, None),
+    "z0-huge-int": ("plot2d", PROFILES, {"z0": HUGE}, None),
+    "grid-n-huge-int": ("design-imaging", BASE, {"grid": {
+        **BASE["grid"], "n": HUGE}}, None),
+    "byte-0xff": ("check", BASE, lambda path: path.write_bytes(b"\xff"), None),
+    "a-directory": ("check", BASE, lambda path: path.mkdir(), None),
 }
 # a grid spec that is not an increasing box and int node counts >= 2,
 # refused before any design work by both commands that take a grid
@@ -183,10 +197,13 @@ def test_a_value_that_is_not_a_finite_number_exits_2_naming_its_key(
         case, tmp_path, capsys):
     command, base, change, key, *flags = NOT_A_FINITE_NUMBER[case]
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({**base, **change}))
+    if callable(change):
+        change(cfg)
+    else:
+        cfg.write_text(json.dumps({**base, **change}))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert f" {key} must be a" in err
+    assert (f" {key} must be a" if key else f" {cfg}: ") in err
     assert not out.exists()

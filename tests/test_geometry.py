@@ -247,6 +247,53 @@ class TestGrid2D:
     def test_from_box_needs_two_nodes_per_axis(self, n1, n2):
         with pytest.raises(ValueError, match="at least 2 nodes per axis"):
             Grid2D.from_box(((0.0, 1.0), (0.0, 1.0)), n1, n2)
+        with pytest.raises(ValueError, match="at least 2 nodes per axis"):
+            Grid2D(((0.0, 1.0), (0.0, 1.0)), (n1, n1 if n2 is None else n2))
+
+    @pytest.mark.parametrize("shape", [5, (5,), (5, 5, 5), None, "55"])
+    def test_a_shape_is_two_node_counts(self, shape):
+        with pytest.raises(ValueError, match="at least 2 nodes per axis"):
+            Grid2D(((0.0, 1.0), (0.0, 1.0)), shape)
+
+    @pytest.mark.parametrize("box", [
+        ((1.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (0.5, 0.5)),
+        ((0.0, np.nan), (0.0, 1.0)), ((0.0, np.inf), (0.0, 1.0)),
+        ((0.0, 1.0),), ((0.0, 1.0, 2.0), (0.0, 1.0)), ((True, 2), (0, 1)),
+        (("0", "1"), (0, 1)), None, ((0, 1e400), (0, 1)),
+    ])
+    def test_a_box_is_two_increasing_finite_pairs(self, box):
+        for build in (lambda: Grid2D.from_box(box, 5),
+                      lambda: Grid2D(box, (5, 5))):
+            with pytest.raises(ValueError, match="grid.box must be a pair"):
+                build()
+
+    def test_grids_compare_and_hash_by_box_and_shape(self):
+        g = Grid2D.from_box(((-1.0, 1.0), (0.0, 2.0)), 5, 9)
+        same = [Grid2D(((-1, 1), (0, 2)), [5, 9]),
+                Grid2D([[-1.0, 1.0], [0.0, 2.0]], (5, 9)),
+                Grid2D.from_box(g.box, *g.shape)]
+        for h in same:
+            assert h == g and hash(h) == hash(g)
+            assert h.box == ((-1.0, 1.0), (0.0, 2.0)) and h.shape == (5, 9)
+        assert len({g, *same}) == 1
+        for other in (Grid2D.from_box(g.box, 5), Grid2D.from_box(g.box, 9, 5),
+                      Grid2D.from_box(((-1.0, 1.0), (0.0, 2.5)), 5, 9)):
+            assert other != g
+
+    @pytest.mark.parametrize("box, shape", [
+        (((-0.7, 0.7), (-0.7, 0.7)), (201, 201)),
+        (((-0.5, 0.5), (-0.4, 0.6)), (21, 31)),
+        (((0.1, 0.4), (-0.15, 0.15)), (2, 7)),
+    ])
+    def test_axes_are_linspace_of_the_box_bit_for_bit(self, box, shape):
+        g = Grid2D(box, shape)
+        for axis, (lo, hi), n in zip((g.x1, g.x2), box, shape):
+            assert axis.tobytes() == np.linspace(lo, hi, n).tobytes()
+            assert not axis.flags.writeable
+            with pytest.raises(ValueError):
+                axis[0] = 0.0
+        with pytest.raises(AttributeError):
+            g.shape = (3, 3)
 
     def test_nodes_row_major(self):
         g = Grid2D.from_box(((0.0, 1.0), (0.0, 1.0)), 3)

@@ -263,6 +263,21 @@ def test_json_round_trip(tmp_path):
     assert io.read_json(tmp_path / "x.json") == payload
 
 
+def test_read_json_takes_an_integer_only_if_a_float_holds_it(tmp_path):
+    largest = int(np.finfo(float).max)  # 309 digits
+    path = tmp_path / "x.json"
+    for value in (largest, -largest, 10**308, 0, -7):
+        path.write_text(f"[{value}]")
+        assert io.read_json(path) == [value]
+    # past 4300 digits Python's int() refuses to parse the text at all
+    for text in (str(largest + 1), str(-largest - 1), "1" + "0" * 309,
+                 "-1" + "0" * 400, "1" + "0" * 5000):
+        path.write_text(f'{{"z0": {text}}}')
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: an integer "
+                                                        f"of")):
+            io.read_json(path)
+
+
 def _write_lens(design, constants, out):
     """Write the artifacts of ``design`` and its phase to ``out``; the phase."""
     mid = midfield_vertical(design.grid, design.rho, design.drho, constants)
@@ -361,17 +376,6 @@ def test_the_loaded_grid_is_the_stored_one_bit_for_bit(n, constants, tmp_path):
     x1, x2 = lens.grid.meshgrid()
     assert _same_bits(x1.ravel(), cols["x1"])
     assert _same_bits(x2.ravel(), cols["x2"])
-
-
-def test_design_to_files_refuses_a_grid_its_box_and_shape_do_not_rebuild(
-        constants, tmp_path):
-    # every 4th node of 31: 5 of its 8 abscissae differ from np.linspace's
-    x = Grid2D.from_box(((-0.7, 0.7), (-0.7, 0.7)), 31).x1[::4]
-    strided = Grid2D(x, x)
-    assert not _same_bits(Grid2D.from_box(strided.box, 8).x1, x)
-    with pytest.raises(ValueError, match="from_box"):
-        io.design_to_files(_plain_design(strided, constants), tmp_path / "out")
-    assert not (tmp_path / "out").exists()
 
 
 def test_a_trace_report_leaves_out_only_targets_that_are_none(tmp_path):

@@ -3,6 +3,8 @@
 Only this test imports scipy.interpolate: the package itself does not.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
@@ -10,6 +12,10 @@ from scipy.interpolate import RectBivariateSpline
 from hybridlens import splines
 from hybridlens.geometry import Grid2D
 from hybridlens.splines import GRADIENT, HESSIAN, VALUE, GridSpline
+
+#: The two axes a ``GridSpline`` reads, which, unlike a ``Grid2D``'s,
+#: may be any increasing sites.
+Sites = namedtuple("Sites", "x1 x2")
 
 
 def warped_axis(lo, hi, n, power):
@@ -29,21 +35,22 @@ def field(x1, x2):
 def grids(k):
     """The smallest grid for order k, a non-square one and a finer one."""
     return [
-        Grid2D(warped_axis(-0.7, 0.7, k + 1, 2), warped_axis(0.3, 2.0, k + 1, 3)),
-        Grid2D(warped_axis(-0.7, 0.7, k + 2, 3), warped_axis(0.3, 2.0, k + 5, 2)),
-        Grid2D(warped_axis(-0.7, 0.7, 23, 2), warped_axis(0.3, 2.0, 17, 3)),
+        Sites(warped_axis(-0.7, 0.7, k + 1, 2), warped_axis(0.3, 2.0, k + 1, 3)),
+        Sites(warped_axis(-0.7, 0.7, k + 2, 3), warped_axis(0.3, 2.0, k + 5, 2)),
+        Sites(warped_axis(-0.7, 0.7, 23, 2), warped_axis(0.3, 2.0, 17, 3)),
     ]
 
 
 def probe_points(grid, rng):
     """Every node, points between nodes and points outside the box."""
-    (lo1, hi1), (lo2, hi2) = grid.box
+    lo1, hi1, lo2, hi2 = grid.x1[0], grid.x1[-1], grid.x2[0], grid.x2[-1]
     between = np.column_stack([
         rng.uniform(lo1, hi1, 200), rng.uniform(lo2, hi2, 200)])
     outside = np.column_stack([
         rng.uniform(lo1 - 0.4, hi1 + 0.4, 200),
         rng.uniform(lo2 - 0.4, hi2 + 0.4, 200)])
-    return np.concatenate([grid.nodes(), between, outside])
+    nodes = np.stack(np.meshgrid(grid.x1, grid.x2, indexing="ij"), axis=-1)
+    return np.concatenate([nodes.reshape(-1, 2), between, outside])
 
 
 def partials_below(k):
@@ -126,16 +133,16 @@ def test_outside_points_take_the_clamped_point(k):
     (3, 3, 10, "x1", 3), (5, 10, 5, "x2", 5), (1, 1, 4, "x1", 1),
 ])
 def test_an_axis_with_too_few_nodes_is_named(k, n1, n2, axis, size):
-    grid = Grid2D(np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2))
+    grid = Sites(np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2))
     with pytest.raises(ValueError, match=f"axis {axis} has {size} nodes"):
         GridSpline(grid, np.zeros((n1, n2)), k)
 
 
 def test_bad_input_raises():
-    grid = Grid2D(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6)[::-1])
+    grid = Sites(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 6)[::-1])
     with pytest.raises(ValueError, match="axis x2 is not strictly increasing"):
         GridSpline(grid, np.zeros((6, 6)), 3)
-    grid = Grid2D(np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 7))
+    grid = Grid2D.from_box(((0.0, 1.0), (0.0, 1.0)), 6, 7)
     with pytest.raises(ValueError, match="values of shape"):
         GridSpline(grid, np.zeros((7, 6)), 3)
     spline = GridSpline(grid, np.zeros((6, 7)), 3)
